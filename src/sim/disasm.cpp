@@ -1,6 +1,5 @@
 #include "sim/disasm.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -186,57 +185,6 @@ std::string FormatKernel(const Kernel& kernel) {
     char head[24];
     std::snprintf(head, sizeof head, "%4zu: ", pc);
     out << head << FormatInstr(kernel.code[pc]) << '\n';
-  }
-  return out.str();
-}
-
-std::vector<std::uint16_t> StraightLineRuns(const std::vector<Instr>& code) {
-  std::vector<std::uint16_t> runs(code.size(), 0);
-  std::uint32_t run = 0;
-  for (std::size_t i = code.size(); i-- > 0;) {
-    if (IsStraightLineOp(code[i].op)) {
-      run = std::min<std::uint32_t>(run + 1, 0xFFFF);
-    } else {
-      run = 0;
-    }
-    runs[i] = static_cast<std::uint16_t>(run);
-  }
-  return runs;
-}
-
-std::string FormatDecodedKernel(const Kernel& kernel) {
-  const std::vector<std::uint16_t> runs = StraightLineRuns(kernel.code);
-  std::vector<char> in_spin(kernel.code.size(), 0);
-  std::vector<char> spin_head(kernel.code.size(), 0);
-  std::vector<char> publish(kernel.code.size(), 0);
-  for (const auto& [begin, end] : kernel.spin_regions) {
-    for (std::int32_t pc = begin; pc < end; ++pc) {
-      in_spin[static_cast<std::size_t>(pc)] = 1;
-    }
-    spin_head[static_cast<std::size_t>(begin)] = 1;
-  }
-  for (const std::int32_t pc : kernel.publish_pcs) {
-    publish[static_cast<std::size_t>(pc)] = 1;
-  }
-
-  std::ostringstream out;
-  out << "kernel " << kernel.name << " (" << kernel.code.size()
-      << " instructions, " << kernel.num_params << " params, decoded)\n";
-  std::uint16_t remaining = 0;  // instructions left in the current fused run
-  for (std::size_t pc = 0; pc < kernel.code.size(); ++pc) {
-    char head[24];
-    std::snprintf(head, sizeof head, "%4zu: ", pc);
-    out << head;
-    if (remaining == 0 && runs[pc] > 0) {
-      remaining = runs[pc];
-      out << "+--- fused run of " << runs[pc] << "\n" << head;
-    }
-    out << (remaining > 0 ? "| " : "  ") << FormatInstr(kernel.code[pc]);
-    if (spin_head[pc]) out << "  ; spin-head";
-    else if (in_spin[pc]) out << "  ; spin";
-    if (publish[pc]) out << "  ; publish";
-    out << '\n';
-    if (remaining > 0) --remaining;
   }
   return out.str();
 }

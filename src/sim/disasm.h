@@ -3,9 +3,7 @@
 // tests (a kernel author can eyeball the emitted program).
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/isa.h"
 #include "sim/kernel.h"
@@ -20,18 +18,5 @@ std::string FormatInstr(const Instr& instr);
 
 /// Whole program with PC labels.
 std::string FormatKernel(const Kernel& kernel);
-
-/// Per-PC straight-line run lengths: runs[pc] is the number of consecutive
-/// batchable (IsStraightLineOp) instructions starting at pc, 0 for
-/// non-batchable ops. This is THE definition the interpreter's threaded core
-/// fuses batches by (Machine::BuildDecoded consumes it), exposed here so the
-/// decoded-trace dump and tests show exactly what the dispatcher executes.
-std::vector<std::uint16_t> StraightLineRuns(const std::vector<Instr>& code);
-
-/// Whole program annotated the way the threaded core decodes it: batchable
-/// runs bracketed with their fused length, spin regions and publish stores
-/// marked. The dump of record for "what does the dispatcher actually do with
-/// this kernel".
-std::string FormatDecodedKernel(const Kernel& kernel);
 
 }  // namespace capellini::sim

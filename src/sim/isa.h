@@ -91,71 +91,4 @@ struct Instr {
   double fimm = 0.0;
 };
 
-/// True for ops that access global memory (used for transaction accounting).
-constexpr bool IsMemoryOp(Op op) {
-  switch (op) {
-    case Op::kLd4:
-    case Op::kLd8I:
-    case Op::kLd8F:
-    case Op::kSt4:
-    case Op::kSt8I:
-    case Op::kSt8F:
-    case Op::kAtomAddF8:
-    case Op::kAtomAddI4:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// True for loads/atomics, which stall the issuing warp until completion.
-constexpr bool StallsWarp(Op op) {
-  switch (op) {
-    case Op::kLd4:
-    case Op::kLd8I:
-    case Op::kLd8F:
-    case Op::kAtomAddF8:
-    case Op::kAtomAddI4:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// True for ops the threaded interpreter core may execute inside a fused
-/// straight-line batch: no memory traffic, no control flow, no cross-warp
-/// visibility — the architectural effect is confined to the issuing warp's
-/// register file, so a run of them commutes with every other warp's issue
-/// and can be pre-executed in one dispatch (the simulated issue slots are
-/// still charged cycle by cycle; see Machine).
-constexpr bool IsStraightLineOp(Op op) {
-  switch (op) {
-    case Op::kBrnz:
-    case Op::kBrz:
-    case Op::kJmp:
-    case Op::kExit:
-      return false;
-    default:
-      return !IsMemoryOp(op);
-  }
-}
-
-/// Width in bytes of a memory op's per-lane access.
-constexpr int MemoryWidth(Op op) {
-  switch (op) {
-    case Op::kLd4:
-    case Op::kSt4:
-    case Op::kAtomAddI4:
-      return 4;
-    case Op::kLd8I:
-    case Op::kLd8F:
-    case Op::kSt8I:
-    case Op::kSt8F:
-    case Op::kAtomAddF8:
-      return 8;
-    default:
-      return 0;
-  }
-}
-
 }  // namespace capellini::sim

@@ -1,7 +1,5 @@
 #include "sim/kernel.h"
 
-#include <cstring>
-
 namespace capellini::sim {
 namespace {
 
@@ -51,46 +49,6 @@ Status Kernel::Validate() const {
     return InvalidArgument("kernel " + name + " does not end in exit/jmp");
   }
   return Status::Ok();
-}
-
-std::uint64_t Kernel::Fingerprint() const {
-  // FNV-1a over every field that affects execution or the per-PC decode
-  // annotations. Name is deliberately excluded: two kernels differing only
-  // in name decode identically.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (byte * 8)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(code.size()));
-  mix(static_cast<std::uint64_t>(num_params));
-  for (const Instr& instr : code) {
-    mix(static_cast<std::uint64_t>(instr.op));
-    mix((static_cast<std::uint64_t>(static_cast<std::uint16_t>(instr.a))
-         << 32) |
-        (static_cast<std::uint64_t>(static_cast<std::uint16_t>(instr.b))
-         << 16) |
-        static_cast<std::uint64_t>(static_cast<std::uint16_t>(instr.c)));
-    mix(static_cast<std::uint64_t>(instr.imm));
-    mix(static_cast<std::uint64_t>(instr.imm2));
-    std::uint64_t fbits;
-    static_assert(sizeof fbits == sizeof instr.fimm);
-    std::memcpy(&fbits, &instr.fimm, sizeof fbits);
-    mix(fbits);
-  }
-  mix(static_cast<std::uint64_t>(spin_regions.size()));
-  for (const auto& [begin, end] : spin_regions) {
-    mix((static_cast<std::uint64_t>(static_cast<std::uint32_t>(begin))
-         << 32) |
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(end)));
-  }
-  mix(static_cast<std::uint64_t>(publish_pcs.size()));
-  for (const std::int32_t pc : publish_pcs) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(pc)));
-  }
-  return h;
 }
 
 KernelBuilder::KernelBuilder(std::string name, int num_params)

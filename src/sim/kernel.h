@@ -33,13 +33,6 @@ struct Kernel {
   /// Structural validation: register indices in range, branch targets and
   /// reconvergence PCs inside the program, program ends in control flow.
   Status Validate() const;
-
-  /// FNV-1a content hash over the code and the spin/publish annotations.
-  /// The interpreter's decoded-trace cache keys on (kernel pointer,
-  /// fingerprint): a pointer reused for different content — or a kernel
-  /// mutated in place — invalidates the cached handler stream, exactly as
-  /// the per-launch predecode tables used to be rebuilt.
-  std::uint64_t Fingerprint() const;
 };
 
 /// Branch/jump target. Obtain with KernelBuilder::NewLabel, place with Bind.

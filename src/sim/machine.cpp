@@ -7,7 +7,6 @@
 #include <limits>
 #include <string>
 
-#include "sim/disasm.h"
 #include "sim/fault.h"
 
 namespace capellini::sim {
@@ -17,8 +16,8 @@ constexpr std::uint32_t kFullMask = 0xFFFFFFFFu;
 
 int PopCount(std::uint32_t mask) { return std::popcount(mask); }
 
-// Per-PC annotation bits fused into Machine::DecodedInstr::flags (built from
-// the kernel's spin_regions / publish_pcs at launch).
+// Per-PC annotation bits in Machine::pc_flags_ (built from the kernel's
+// spin_regions / publish_pcs at launch).
 constexpr std::uint8_t kPcInSpin = 1;
 constexpr std::uint8_t kPcSpinHead = 2;
 constexpr std::uint8_t kPcPublish = 4;
@@ -41,12 +40,6 @@ inline void ForActive(std::uint32_t mask, Fn&& fn) {
 }
 
 }  // namespace
-
-std::atomic<bool> Machine::scalar_core_for_test_{false};
-
-void Machine::set_scalar_core_for_test(bool scalar) {
-  scalar_core_for_test_.store(scalar, std::memory_order_relaxed);
-}
 
 Machine::Machine(DeviceConfig config, DeviceMemory* memory)
     : config_(std::move(config)),
@@ -204,13 +197,11 @@ Machine::MemTxn Machine::AccountSectors(const std::uint64_t* sectors,
 }
 
 Machine::MemTxn Machine::AccountMemory(std::span<const std::uint64_t> addresses,
-                                       std::size_t count, int width_bytes,
                                        bool is_atomic) {
-  (void)width_bytes;
   // Distinct sectors among the active lanes' accesses = transactions.
   std::uint64_t sectors[64];
   const std::size_t num_sectors =
-      DedupSectors(addresses.data(), count, sector_shift_, sectors);
+      DedupSectors(addresses.data(), addresses.size(), sector_shift_, sectors);
   return AccountSectors(sectors, num_sectors, is_atomic);
 }
 
@@ -232,17 +223,14 @@ void Machine::SyncAtReconv(Warp& warp) {
   }
 }
 
-void Machine::UnwindIfEmpty(Warp& warp, int sm_index) {
+void Machine::UnwindIfEmpty(Warp& warp) {
   while (warp.active == 0 && !warp.stack.empty()) {
     const Frame top = warp.stack.back();
     warp.stack.pop_back();
     warp.active = top.other_mask;
     warp.pc = top.other_pc;
   }
-  if (warp.active == 0) {
-    (void)sm_index;
-    warp.alive = false;
-  }
+  if (warp.active == 0) warp.alive = false;
 }
 
 void Machine::FinishWarp(int warp_index, int sm_index) {
@@ -267,11 +255,10 @@ void Machine::ExecuteInstruction(int warp_index, int sm_index) {
   if (!warp.stack.empty()) SyncAtReconv(warp);
   CAPELLINI_CHECK(warp.active != 0);
   CAPELLINI_CHECK(warp.pc >= 0 &&
-                  warp.pc < static_cast<std::int32_t>(decoded_->code.size()));
+                  warp.pc < static_cast<std::int32_t>(kernel_->code.size()));
 
-  const DecodedInstr& decoded = decoded_->code[static_cast<std::size_t>(warp.pc)];
-  const Instr& instr = decoded.instr;
-  const std::uint8_t pc_flags = decoded.flags;
+  const Instr& instr = kernel_->code[static_cast<std::size_t>(warp.pc)];
+  const std::uint8_t pc_flags = pc_flags_[static_cast<std::size_t>(warp.pc)];
   // Debug tracing (CAPELLINI_TRACE=1): one line per issued instruction.
   if (debug_trace_) {
     std::fprintf(stderr,
@@ -526,7 +513,7 @@ void Machine::ExecuteInstruction(int warp_index, int sm_index) {
         }
       });
       // Stores are fire-and-forget: account bandwidth, do not stall.
-      (void)AccountMemory(addresses, count, MemoryWidth(instr.op));
+      (void)AccountMemory({addresses, count}, /*is_atomic=*/false);
       last_progress_cycle_ = cycle_;
       if (trace_ && (pc_flags & kPcPublish) != 0) {
         trace::PublishInfo publish;
@@ -561,8 +548,7 @@ void Machine::ExecuteInstruction(int warp_index, int sm_index) {
               addr, old + static_cast<std::int32_t>(RegI(warp, lane, instr.c)));
         }
       });
-      mem = AccountMemory(addresses, count, MemoryWidth(instr.op),
-                          /*is_atomic=*/true);
+      mem = AccountMemory({addresses, count}, /*is_atomic=*/true);
       is_atomic_op = true;
       last_progress_cycle_ = cycle_;
       if (trace_) {
@@ -668,7 +654,7 @@ void Machine::ExecuteInstruction(int warp_index, int sm_index) {
   }
 
   warp.pc = next_pc;
-  UnwindIfEmpty(warp, sm_index);
+  UnwindIfEmpty(warp);
   if (!warp.alive) {
     FinishWarp(warp_index, sm_index);
     return;
@@ -701,653 +687,6 @@ void Machine::ExecuteInstruction(int warp_index, int sm_index) {
     sm.ready.push_back(warp_index);
     MarkSmReady(sm_index);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Threaded-dispatch core.
-//
-// Each decoded instruction carries handler pointers instead of being switched
-// on per step. Batchable (IsStraightLineOp) instructions get two AluFn
-// variants — one specialized for a fully converged warp (unconditional 0..31
-// loops over the SoA register rows, which GCC/Clang vectorize), one iterating
-// the active mask — and the dispatcher executes a whole straight-line run
-// through them in one host step. Memory and control-flow ops get a StepFn
-// that is a verbatim transcription of the corresponding scalar switch case.
-//
-// Equivalence argument (gated by tests/interp_equivalence_test): batchable
-// ops touch only the issuing warp's registers, so pre-executing a run cannot
-// be observed by any other warp or by memory; the saved issue slots are
-// re-charged one per pop via Warp::skip, so every warp issues on exactly the
-// same cycles, every memory op executes at the same cycle in the same global
-// order (same L2/DRAM queue evolution, same values), and the fault hooks
-// consume their PRNG streams in the same sequence.
-// ---------------------------------------------------------------------------
-struct Interp {
-  using Warp = Machine::Warp;
-  using Ctx = Machine::ExecCtx;
-  using DI = Machine::DecodedInstr;
-  using MemTxn = Machine::MemTxn;
-
-  // SoA register rows: all 32 lanes of one register, contiguous.
-  static std::int64_t* RI(Warp& w, int reg) {
-    return w.r.data() + static_cast<std::size_t>(reg) * 32;
-  }
-  static double* RF(Warp& w, int reg) {
-    return w.f.data() + static_cast<std::size_t>(reg) * 32;
-  }
-
-  template <bool FULL, typename Fn>
-  static inline void Lanes(std::uint32_t mask, Fn&& fn) {
-    if constexpr (FULL) {
-      for (int lane = 0; lane < 32; ++lane) fn(lane);
-    } else {
-      while (mask) {
-        const int lane = std::countr_zero(mask);
-        mask &= mask - 1;
-        fn(lane);
-      }
-    }
-  }
-
-  template <Op OP, bool FULL>
-  static void Alu(Warp& w, const Instr& in, const Ctx& ctx) {
-    (void)ctx;
-    const std::uint32_t mask = w.active;
-    if constexpr (OP == Op::kNop || OP == Op::kFence) {
-      // kFence: memory is sequentially consistent in the simulator; a
-      // 1-cycle ordering no-op kept for faithful instruction counts.
-      (void)w;
-      (void)in;
-      (void)mask;
-    } else if constexpr (OP == Op::kMovI) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t imm = in.imm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = imm; });
-    } else if constexpr (OP == Op::kMov) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane]; });
-    } else if constexpr (OP == Op::kAdd) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t* c = RI(w, in.c);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] + c[lane]; });
-    } else if constexpr (OP == Op::kAddI) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t imm = in.imm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] + imm; });
-    } else if constexpr (OP == Op::kSub) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t* c = RI(w, in.c);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] - c[lane]; });
-    } else if constexpr (OP == Op::kMul) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t* c = RI(w, in.c);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] * c[lane]; });
-    } else if constexpr (OP == Op::kMulI) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t imm = in.imm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] * imm; });
-    } else if constexpr (OP == Op::kAndI) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t imm = in.imm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] & imm; });
-    } else if constexpr (OP == Op::kShlI) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t imm = in.imm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] << imm; });
-    } else if constexpr (OP == Op::kShrI) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t imm = in.imm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] >> imm; });
-    } else if constexpr (OP == Op::kSetLt) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t* c = RI(w, in.c);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] < c[lane] ? 1 : 0; });
-    } else if constexpr (OP == Op::kSetLe) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t* c = RI(w, in.c);
-      Lanes<FULL>(mask,
-                  [&](int lane) { a[lane] = b[lane] <= c[lane] ? 1 : 0; });
-    } else if constexpr (OP == Op::kSetEq) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t* c = RI(w, in.c);
-      Lanes<FULL>(mask,
-                  [&](int lane) { a[lane] = b[lane] == c[lane] ? 1 : 0; });
-    } else if constexpr (OP == Op::kSetNe) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t* c = RI(w, in.c);
-      Lanes<FULL>(mask,
-                  [&](int lane) { a[lane] = b[lane] != c[lane] ? 1 : 0; });
-    } else if constexpr (OP == Op::kSetGe) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t* c = RI(w, in.c);
-      Lanes<FULL>(mask,
-                  [&](int lane) { a[lane] = b[lane] >= c[lane] ? 1 : 0; });
-    } else if constexpr (OP == Op::kSetGt) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t* c = RI(w, in.c);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] > c[lane] ? 1 : 0; });
-    } else if constexpr (OP == Op::kSetLtI) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t imm = in.imm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] < imm ? 1 : 0; });
-    } else if constexpr (OP == Op::kSetGeI) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t imm = in.imm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] >= imm ? 1 : 0; });
-    } else if constexpr (OP == Op::kSetEqI) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t imm = in.imm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] == imm ? 1 : 0; });
-    } else if constexpr (OP == Op::kSetNeI) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t* b = RI(w, in.b);
-      const std::int64_t imm = in.imm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] != imm ? 1 : 0; });
-    } else if constexpr (OP == Op::kS2R) {
-      std::int64_t* a = RI(w, in.a);
-      switch (static_cast<Special>(in.b)) {
-        case Special::kGlobalTid:
-          Lanes<FULL>(mask, [&](int lane) { a[lane] = w.base_tid + lane; });
-          break;
-        case Special::kLane:
-          Lanes<FULL>(mask, [&](int lane) { a[lane] = lane; });
-          break;
-        case Special::kWarpId:
-          Lanes<FULL>(mask,
-                      [&](int lane) { a[lane] = (w.base_tid + lane) / 32; });
-          break;
-        case Special::kBlockId:
-          Lanes<FULL>(mask, [&](int lane) { a[lane] = w.block_id; });
-          break;
-        case Special::kThreadInBlock:
-          Lanes<FULL>(mask, [&](int lane) {
-            a[lane] =
-                w.base_tid + lane - w.block_id * ctx.threads_per_block;
-          });
-          break;
-        case Special::kGridThreads:
-          Lanes<FULL>(mask, [&](int lane) { a[lane] = ctx.grid_threads; });
-          break;
-      }
-    } else if constexpr (OP == Op::kLdParam) {
-      std::int64_t* a = RI(w, in.a);
-      const std::int64_t value = ctx.params[static_cast<std::size_t>(in.imm)];
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = value; });
-    } else if constexpr (OP == Op::kFMovI) {
-      double* a = RF(w, in.a);
-      const double imm = in.fimm;
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = imm; });
-    } else if constexpr (OP == Op::kFMov) {
-      double* a = RF(w, in.a);
-      const double* b = RF(w, in.b);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane]; });
-    } else if constexpr (OP == Op::kFAdd) {
-      double* a = RF(w, in.a);
-      const double* b = RF(w, in.b);
-      const double* c = RF(w, in.c);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] + c[lane]; });
-    } else if constexpr (OP == Op::kFSub) {
-      double* a = RF(w, in.a);
-      const double* b = RF(w, in.b);
-      const double* c = RF(w, in.c);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] - c[lane]; });
-    } else if constexpr (OP == Op::kFMul) {
-      double* a = RF(w, in.a);
-      const double* b = RF(w, in.b);
-      const double* c = RF(w, in.c);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] * c[lane]; });
-    } else if constexpr (OP == Op::kFDiv) {
-      double* a = RF(w, in.a);
-      const double* b = RF(w, in.b);
-      const double* c = RF(w, in.c);
-      Lanes<FULL>(mask, [&](int lane) { a[lane] = b[lane] / c[lane]; });
-    } else if constexpr (OP == Op::kFFma) {
-      double* a = RF(w, in.a);
-      const double* b = RF(w, in.b);
-      const double* c = RF(w, in.c);
-      // Written as x + y*z like the scalar core; with contraction disabled
-      // (default -std=c++20 -O3, no -ffast-math) both evaluate the same
-      // mul-then-add double rounding.
-      Lanes<FULL>(mask, [&](int lane) { a[lane] += b[lane] * c[lane]; });
-    } else if constexpr (OP == Op::kShflDownF) {
-      // Read the source values of ALL lanes first (lock-step exchange).
-      double source[32];
-      const double* b = RF(w, in.b);
-      for (int lane = 0; lane < 32; ++lane) source[lane] = b[lane];
-      double* a = RF(w, in.a);
-      const int delta = static_cast<int>(in.imm);
-      Lanes<FULL>(mask, [&](int lane) {
-        const int src_lane = lane + delta;
-        a[lane] = src_lane < 32 ? source[src_lane] : source[lane];
-      });
-    } else {
-      static_assert(OP == Op::kNop, "op is not batchable");
-    }
-  }
-
-  // Single-step fallback for a batchable op that cannot batch (divergent
-  // stack, or a run of length accounted elsewhere): same handlers, one
-  // instruction.
-  static std::int32_t StepAlu(Machine&, Warp& w, const DI& d, int,
-                              MemTxn&, const Ctx& ctx) {
-    if (w.active == kFullMask) {
-      d.alu_full(w, d.instr, ctx);
-    } else {
-      d.alu_masked(w, d.instr, ctx);
-    }
-    return w.pc + 1;
-  }
-
-  template <Op OP>
-  static std::int32_t StepLoad(Machine& m, Warp& w, const DI& d, int,
-                               MemTxn& mem, const Ctx&) {
-    const Instr& in = d.instr;
-    const std::uint32_t active = w.active;
-    std::uint64_t addresses[32];
-    std::size_t count = 0;
-    const std::int64_t* baddr = RI(w, in.b);
-    ForActive(active, [&](int lane) {
-      const std::uint64_t addr = static_cast<std::uint64_t>(baddr[lane]);
-      addresses[count++] = addr;
-      if constexpr (OP == Op::kLd4) {
-        RI(w, in.a)[lane] = m.memory_->LoadI32(addr);
-      } else if constexpr (OP == Op::kLd8I) {
-        RI(w, in.a)[lane] = m.memory_->LoadI64(addr);
-      } else {
-        RF(w, in.a)[lane] = m.memory_->LoadF64(addr);
-      }
-    });
-    // Spin-poll fast path — same cache, same accounting as the scalar core.
-    if ((d.flags & kPcInSpin) != 0 && w.poll_pc == w.pc &&
-        w.poll_mask == active &&
-        w.poll_count == static_cast<std::uint8_t>(count) &&
-        std::equal(addresses, addresses + count, w.poll_addresses.begin())) {
-      mem = m.AccountSectors(w.poll_sectors.data(), w.poll_num_sectors,
-                             /*is_atomic=*/false);
-    } else {
-      std::uint64_t sectors[64];
-      const std::size_t num_sectors =
-          Machine::DedupSectors(addresses, count, m.sector_shift_, sectors);
-      mem = m.AccountSectors(sectors, num_sectors, /*is_atomic=*/false);
-      if ((d.flags & kPcInSpin) != 0) {
-        w.poll_pc = w.pc;
-        w.poll_mask = active;
-        w.poll_count = static_cast<std::uint8_t>(count);
-        w.poll_num_sectors = static_cast<std::uint8_t>(num_sectors);
-        std::copy(addresses, addresses + count, w.poll_addresses.begin());
-        std::copy(sectors, sectors + num_sectors, w.poll_sectors.begin());
-      }
-    }
-    return w.pc + 1;
-  }
-
-  template <Op OP>
-  static std::int32_t StepStore(Machine& m, Warp& w, const DI& d,
-                                int sm_index, MemTxn&, const Ctx&) {
-    const Instr& in = d.instr;
-    std::uint64_t addresses[32];
-    std::size_t count = 0;
-    const std::int64_t* aaddr = RI(w, in.a);
-    ForActive(w.active, [&](int lane) {
-      const std::uint64_t addr = static_cast<std::uint64_t>(aaddr[lane]);
-      addresses[count++] = addr;
-      // Dropped publish: see the scalar core — bandwidth is accounted, the
-      // value does not land.
-      if (m.faults_ && (d.flags & kPcPublish) != 0 &&
-          m.faults_->DropPublish(w.base_tid + lane)) {
-        return;
-      }
-      if constexpr (OP == Op::kSt4) {
-        m.memory_->StoreI32(addr,
-                            static_cast<std::int32_t>(RI(w, in.b)[lane]));
-      } else if constexpr (OP == Op::kSt8I) {
-        m.memory_->StoreI64(addr, RI(w, in.b)[lane]);
-      } else {
-        double value = RF(w, in.b)[lane];
-        if (m.faults_) m.faults_->MaybeFlipStoreBit(value, w.base_tid + lane);
-        m.memory_->StoreF64(addr, value);
-      }
-    });
-    // Stores are fire-and-forget: account bandwidth, do not stall.
-    (void)m.AccountMemory(addresses, count, MemoryWidth(OP));
-    m.last_progress_cycle_ = m.cycle_;
-    if (m.trace_ != nullptr && (d.flags & kPcPublish) != 0) {
-      const int warp_index = static_cast<int>(&w - m.warp_pool_.data());
-      trace::PublishInfo publish;
-      publish.cycle = m.cycle_;
-      publish.sm = sm_index;
-      publish.warp_slot = warp_index - sm_index * m.config_.max_warps_per_sm;
-      for (std::size_t i = 0; i < count; ++i) {
-        publish.addr = addresses[i];
-        m.trace_->OnPublish(publish);
-      }
-    }
-    return w.pc + 1;
-  }
-
-  template <Op OP>
-  static std::int32_t StepAtomic(Machine& m, Warp& w, const DI& d,
-                                 int sm_index, MemTxn& mem, const Ctx&) {
-    const Instr& in = d.instr;
-    std::uint64_t addresses[32];
-    std::size_t count = 0;
-    const std::int64_t* baddr = RI(w, in.b);
-    // Lane-order serialization, as in the scalar core.
-    ForActive(w.active, [&](int lane) {
-      const std::uint64_t addr = static_cast<std::uint64_t>(baddr[lane]);
-      addresses[count++] = addr;
-      if constexpr (OP == Op::kAtomAddF8) {
-        const double old = m.memory_->LoadF64(addr);
-        RF(w, in.a)[lane] = old;
-        m.memory_->StoreF64(addr, old + RF(w, in.c)[lane]);
-      } else {
-        const std::int32_t old = m.memory_->LoadI32(addr);
-        RI(w, in.a)[lane] = old;
-        m.memory_->StoreI32(
-            addr, old + static_cast<std::int32_t>(RI(w, in.c)[lane]));
-      }
-    });
-    mem = m.AccountMemory(addresses, count, MemoryWidth(OP),
-                          /*is_atomic=*/true);
-    m.last_progress_cycle_ = m.cycle_;
-    if (m.trace_ != nullptr) {
-      const int warp_index = static_cast<int>(&w - m.warp_pool_.data());
-      m.trace_->OnAtomic(m.cycle_, sm_index,
-                         warp_index - sm_index * m.config_.max_warps_per_sm,
-                         mem.transactions);
-    }
-    return w.pc + 1;
-  }
-
-  template <Op OP>
-  static std::int32_t StepBranch(Machine&, Warp& w, const DI& d, int,
-                                 MemTxn&, const Ctx&) {
-    const Instr& in = d.instr;
-    const std::uint32_t active = w.active;
-    std::uint32_t taken = 0;
-    const std::int64_t* pred = RI(w, in.a);
-    ForActive(active, [&](int lane) {
-      const bool nz = pred[lane] != 0;
-      const bool takes = (OP == Op::kBrnz) ? nz : !nz;
-      if (takes) taken |= 1u << lane;
-    });
-    const std::uint32_t fall = active & ~taken;
-    if (taken == 0) return w.pc + 1;
-    if (fall == 0) return static_cast<std::int32_t>(in.imm);
-    // Divergence: run the fall-through side first; park the taken side,
-    // merging with an existing frame when a loop re-diverges to the same
-    // (reconv, target).
-    const auto reconv = static_cast<std::int32_t>(in.imm2);
-    const auto target = static_cast<std::int32_t>(in.imm);
-    if (!w.stack.empty() && w.stack.back().reconv_pc == reconv &&
-        w.stack.back().other_pc == target) {
-      w.stack.back().other_mask |= taken;
-    } else {
-      w.stack.push_back(Machine::Frame{reconv, target, taken});
-    }
-    w.active = fall;
-    return w.pc + 1;
-  }
-
-  static std::int32_t StepJmp(Machine&, Warp&, const DI& d, int, MemTxn&,
-                              const Ctx&) {
-    return static_cast<std::int32_t>(d.instr.imm);
-  }
-
-  static std::int32_t StepExit(Machine&, Warp& w, const DI&, int, MemTxn&,
-                               const Ctx&) {
-    w.active = 0;
-    return w.pc + 1;
-  }
-
-  // Fills the handler pointers for one decoded instruction.
-  static void Assign(Machine::DecodedInstr& d) {
-#define CAPELLINI_ALU_HANDLER(OPNAME)            \
-  case Op::OPNAME:                               \
-    d.alu_full = &Alu<Op::OPNAME, true>;         \
-    d.alu_masked = &Alu<Op::OPNAME, false>;      \
-    d.step = &StepAlu;                           \
-    break;
-    switch (d.instr.op) {
-      CAPELLINI_ALU_HANDLER(kNop)
-      CAPELLINI_ALU_HANDLER(kMovI)
-      CAPELLINI_ALU_HANDLER(kMov)
-      CAPELLINI_ALU_HANDLER(kAdd)
-      CAPELLINI_ALU_HANDLER(kAddI)
-      CAPELLINI_ALU_HANDLER(kSub)
-      CAPELLINI_ALU_HANDLER(kMul)
-      CAPELLINI_ALU_HANDLER(kMulI)
-      CAPELLINI_ALU_HANDLER(kAndI)
-      CAPELLINI_ALU_HANDLER(kShlI)
-      CAPELLINI_ALU_HANDLER(kShrI)
-      CAPELLINI_ALU_HANDLER(kSetLt)
-      CAPELLINI_ALU_HANDLER(kSetLe)
-      CAPELLINI_ALU_HANDLER(kSetEq)
-      CAPELLINI_ALU_HANDLER(kSetNe)
-      CAPELLINI_ALU_HANDLER(kSetGe)
-      CAPELLINI_ALU_HANDLER(kSetGt)
-      CAPELLINI_ALU_HANDLER(kSetLtI)
-      CAPELLINI_ALU_HANDLER(kSetGeI)
-      CAPELLINI_ALU_HANDLER(kSetEqI)
-      CAPELLINI_ALU_HANDLER(kSetNeI)
-      CAPELLINI_ALU_HANDLER(kS2R)
-      CAPELLINI_ALU_HANDLER(kLdParam)
-      CAPELLINI_ALU_HANDLER(kFMovI)
-      CAPELLINI_ALU_HANDLER(kFMov)
-      CAPELLINI_ALU_HANDLER(kFAdd)
-      CAPELLINI_ALU_HANDLER(kFSub)
-      CAPELLINI_ALU_HANDLER(kFMul)
-      CAPELLINI_ALU_HANDLER(kFDiv)
-      CAPELLINI_ALU_HANDLER(kFFma)
-      CAPELLINI_ALU_HANDLER(kShflDownF)
-      CAPELLINI_ALU_HANDLER(kFence)
-      case Op::kLd4:
-        d.step = &StepLoad<Op::kLd4>;
-        break;
-      case Op::kLd8I:
-        d.step = &StepLoad<Op::kLd8I>;
-        break;
-      case Op::kLd8F:
-        d.step = &StepLoad<Op::kLd8F>;
-        break;
-      case Op::kSt4:
-        d.step = &StepStore<Op::kSt4>;
-        break;
-      case Op::kSt8I:
-        d.step = &StepStore<Op::kSt8I>;
-        break;
-      case Op::kSt8F:
-        d.step = &StepStore<Op::kSt8F>;
-        break;
-      case Op::kAtomAddF8:
-        d.step = &StepAtomic<Op::kAtomAddF8>;
-        break;
-      case Op::kAtomAddI4:
-        d.step = &StepAtomic<Op::kAtomAddI4>;
-        break;
-      case Op::kBrnz:
-        d.step = &StepBranch<Op::kBrnz>;
-        break;
-      case Op::kBrz:
-        d.step = &StepBranch<Op::kBrz>;
-        break;
-      case Op::kJmp:
-        d.step = &StepJmp;
-        break;
-      case Op::kExit:
-        d.step = &StepExit;
-        break;
-    }
-#undef CAPELLINI_ALU_HANDLER
-  }
-};
-
-void Machine::ExecuteThreaded(int warp_index, int sm_index) {
-  Warp& warp = warp_pool_[static_cast<std::size_t>(warp_index)];
-  if (!warp.stack.empty()) SyncAtReconv(warp);
-  CAPELLINI_CHECK(warp.active != 0);
-  CAPELLINI_CHECK(warp.pc >= 0 &&
-                  warp.pc < static_cast<std::int32_t>(decoded_->code.size()));
-
-  const DecodedInstr* code = decoded_->code.data();
-  const DecodedInstr& head = code[static_cast<std::size_t>(warp.pc)];
-  const ExecCtx ctx{params_.data(), grid_threads_, threads_per_block_};
-
-  // Per-issue observers — an attached TraceSink or the CAPELLINI_TRACE=1
-  // dump — want a hook on every instruction, so run fusion is disabled while
-  // one is attached: each instruction of a run becomes its own dispatch at
-  // what would have been the fused-run boundary. Fusion is schedule-neutral
-  // by construction (the skip credit charges exactly the slots the unfused
-  // issues would have), so disabling it changes neither the cycle count nor
-  // any counter — the "a sink never affects timing" contract holds.
-  const bool hooked = trace_ != nullptr || debug_trace_;
-
-  if (head.run != 0 && warp.stack.empty() && !hooked) {
-    // Fused straight-line run: execute every batchable instruction from
-    // here in one dispatch over the SoA register rows (no re-entry into the
-    // dispatch loop between them), then charge the n-1 remaining issue
-    // slots through Warp::skip. With an empty stack no instruction in the
-    // run can touch the reconvergence machinery, memory, or control flow,
-    // so nothing outside this warp's register file can observe the batch.
-    const int n = head.run;
-    stats_.instructions += static_cast<std::uint64_t>(n);
-    stats_.lane_instructions += static_cast<std::uint64_t>(n) *
-                                static_cast<std::uint64_t>(PopCount(warp.active));
-    const DecodedInstr* d = &head;
-    if (warp.active == kFullMask) {
-      for (int i = 0; i < n; ++i) {
-        d[i].alu_full(warp, d[i].instr, ctx);
-      }
-    } else {
-      for (int i = 0; i < n; ++i) {
-        d[i].alu_masked(warp, d[i].instr, ctx);
-      }
-    }
-    warp.pc += n;
-    warp.skip = static_cast<std::uint16_t>(n - 1);
-    sms_[static_cast<std::size_t>(sm_index)].ready.push_back(warp_index);
-    MarkSmReady(sm_index);
-    return;
-  }
-
-  // Debug tracing (CAPELLINI_TRACE=1): same line format as the scalar core.
-  if (debug_trace_) {
-    std::fprintf(stderr,
-                 "cyc=%llu warp=%d pc=%d op=%d active=%08x stack=%zu\n",
-                 static_cast<unsigned long long>(cycle_), warp_index, warp.pc,
-                 static_cast<int>(head.instr.op), warp.active,
-                 warp.stack.size());
-  }
-  ++stats_.instructions;
-  stats_.lane_instructions += static_cast<std::uint64_t>(PopCount(warp.active));
-
-  if (trace_) {
-    trace::IssueInfo issue;
-    issue.cycle = cycle_;
-    issue.sm = sm_index;
-    issue.warp_slot = warp_index - sm_index * config_.max_warps_per_sm;
-    issue.base_tid = warp.base_tid;
-    issue.pc = warp.pc;
-    issue.active = warp.active;
-    issue.divergent = !warp.stack.empty();
-    issue.in_spin = (head.flags & kPcInSpin) != 0;
-    issue.spin_head = (head.flags & kPcSpinHead) != 0;
-    trace_->OnIssue(issue);
-  }
-
-  MemTxn mem;  // ready_at == 0 => ready immediately
-  warp.pc = head.step(*this, warp, head, sm_index, mem, ctx);
-  UnwindIfEmpty(warp, sm_index);
-  if (!warp.alive) {
-    FinishWarp(warp_index, sm_index);
-    return;
-  }
-
-  // Delayed memory response: timing-only, as in the scalar core.
-  if (faults_ && mem.ready_at != 0) {
-    mem.ready_at += faults_->ExtraMemDelay(warp.base_tid);
-  }
-  if (mem.ready_at > cycle_ + 1) {
-    if (trace_) {
-      trace::MemStallInfo stall;
-      stall.cycle = cycle_;
-      stall.ready_at = mem.ready_at;
-      stall.sm = sm_index;
-      stall.warp_slot = warp_index - sm_index * config_.max_warps_per_sm;
-      stall.base_tid = warp.base_tid;
-      stall.queue_cycles = mem.queue_cycles;
-      stall.transactions = mem.transactions;
-      stall.dram_misses = mem.misses;
-      stall.is_atomic = head.instr.op == Op::kAtomAddF8 ||
-                        head.instr.op == Op::kAtomAddI4;
-      stall.in_spin = (head.flags & kPcInSpin) != 0;
-      trace_->OnMemStall(stall);
-    }
-    WakePush(mem.ready_at, warp_index, sm_index);
-  } else {
-    sms_[static_cast<std::size_t>(sm_index)].ready.push_back(warp_index);
-    MarkSmReady(sm_index);
-  }
-}
-
-const Machine::DecodedKernel* Machine::DecodeKernel(const Kernel& kernel) {
-  const std::uint64_t fingerprint = kernel.Fingerprint();
-  for (auto& entry : decode_cache_) {
-    if (entry.first != &kernel) continue;
-    // Same pointer, changed content (rebuilt or mutated kernel): rebuild the
-    // stream, exactly as the old per-launch predecode would have.
-    if (entry.second->fingerprint != fingerprint) {
-      BuildDecoded(kernel, fingerprint, *entry.second);
-    }
-    return entry.second.get();
-  }
-  // Bound the cache: kernels are few (one per algorithm variant), so this
-  // trips only for pathological churn; clearing is always safe because
-  // decoded_ is re-looked-up at every Launch.
-  if (decode_cache_.size() >= 64) decode_cache_.clear();
-  decode_cache_.emplace_back(&kernel, std::make_unique<DecodedKernel>());
-  BuildDecoded(kernel, fingerprint, *decode_cache_.back().second);
-  return decode_cache_.back().second.get();
-}
-
-void Machine::BuildDecoded(const Kernel& kernel, std::uint64_t fingerprint,
-                           DecodedKernel& out) {
-  out.fingerprint = fingerprint;
-  const std::size_t n = kernel.code.size();
-  out.code.assign(n, DecodedInstr{});
-  for (std::size_t pc = 0; pc < n; ++pc) {
-    out.code[pc].instr = kernel.code[pc];
-    Interp::Assign(out.code[pc]);
-  }
-  for (const auto& [begin, end] : kernel.spin_regions) {
-    for (std::int32_t pc = begin; pc < end; ++pc) {
-      out.code[static_cast<std::size_t>(pc)].flags |= kPcInSpin;
-    }
-    out.code[static_cast<std::size_t>(begin)].flags |= kPcSpinHead;
-  }
-  for (const std::int32_t pc : kernel.publish_pcs) {
-    out.code[static_cast<std::size_t>(pc)].flags |= kPcPublish;
-  }
-  const std::vector<std::uint16_t> runs = StraightLineRuns(kernel.code);
-  for (std::size_t pc = 0; pc < n; ++pc) out.code[pc].run = runs[pc];
 }
 
 Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
@@ -1401,18 +740,19 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
   for (const std::size_t word : l2_touched_words_) l2_sectors_[word] = 0;
   l2_touched_words_.clear();
 
-  // Decoded handler stream: cached across launches, keyed by kernel pointer
-  // and validated by content fingerprint (see DecodeKernel).
-  decoded_ = DecodeKernel(kernel);
-
-  // Core selection: the threaded dispatcher is the only production core.
-  // An attached TraceSink (or the CAPELLINI_TRACE=1 debug dump) disables run
-  // fusion inside it so every instruction gets its per-issue hook (see
-  // ExecuteThreaded). The legacy scalar switch survives solely as the
-  // equivalence oracle behind the test-only hook below
-  // (interp_equivalence_test, bench_interp's identity gate).
-  const bool use_threaded =
-      !scalar_core_for_test_.load(std::memory_order_relaxed);
+  // Per-PC annotations, rebuilt for this kernel. A kernel is tens of
+  // instructions and a launch thousands of cycles, so this costs nothing
+  // next to the issue loop.
+  pc_flags_.assign(kernel.code.size(), 0);
+  for (const auto& [begin, end] : kernel.spin_regions) {
+    for (std::int32_t pc = begin; pc < end; ++pc) {
+      pc_flags_[static_cast<std::size_t>(pc)] |= kPcInSpin;
+    }
+    pc_flags_[static_cast<std::size_t>(begin)] |= kPcSpinHead;
+  }
+  for (const std::int32_t pc : kernel.publish_pcs) {
+    pc_flags_[static_cast<std::size_t>(pc)] |= kPcPublish;
+  }
 
   ++launch_index_;
   if (trace_) {
@@ -1486,7 +826,6 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
         warp.base_tid = base_tid;
         warp.block_id = block;
         warp.stack.clear();
-        warp.skip = 0;
         warp.poll_pc = -1;
         const std::int64_t lanes_left = dims.num_threads - base_tid;
         warp.active = lanes_left >= 32
@@ -1547,10 +886,7 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
       for (const Warp& warp : warp_pool_) {
         if (!warp.alive) continue;
         ++alive;
-        // Architectural PC: a warp mid-drain of a pre-executed run (threaded
-        // core) has advanced pc past instructions whose issue slots are
-        // still being charged; skip is 0 on the scalar core.
-        ++pc_histogram[static_cast<std::size_t>(warp.pc - warp.skip)];
+        ++pc_histogram[static_cast<std::size_t>(warp.pc)];
       }
       std::string hot_pcs;
       int listed = 0;
@@ -1647,18 +983,7 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
               continue;
             }
           }
-          Warp& warp = warp_pool_[static_cast<std::size_t>(warp_index)];
-          if (warp.skip != 0) {
-            // The instruction for this slot was pre-executed as part of a
-            // straight-line run; charge the slot and keep the warp in the
-            // round-robin, exactly as if it had issued one instruction.
-            --warp.skip;
-            sm.ready.push_back(warp_index);
-          } else if (use_threaded) {
-            ExecuteThreaded(warp_index, s);
-          } else {
-            ExecuteInstruction(warp_index, s);
-          }
+          ExecuteInstruction(warp_index, s);
           ++used;
         }
         if (sm.ready.empty()) ready_sm_mask_[word] &= ~bit;

@@ -23,9 +23,7 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <queue>
 #include <span>
 #include <tuple>
@@ -63,6 +61,9 @@ struct ExternalStore {
   std::int32_t i32_value = 0;
 };
 
+/// One simulated device. Launch() runs a kernel to completion on a single
+/// interpreter core: every issue slot executes one warp-instruction through
+/// ExecuteInstruction. tests/golden_schedule_test.cpp pins the schedule.
 class Machine {
  public:
   Machine(DeviceConfig config, DeviceMemory* memory);
@@ -96,21 +97,7 @@ class Machine {
   Expected<LaunchStats> Launch(const Kernel& kernel, LaunchDims dims,
                                std::span<const std::int64_t> params);
 
-  /// Test-only: routes subsequent launches through the legacy scalar core
-  /// instead of the threaded dispatcher. The scalar loop survives solely as
-  /// the reference oracle interp_equivalence_test and bench_interp's
-  /// identity gate compare the threaded core against; no production path
-  /// selects it (there is deliberately no public config knob). Process-wide
-  /// so the oracle can be flipped around a Solve without plumbing test state
-  /// through SolverOptions.
-  static void set_scalar_core_for_test(bool scalar);
-
  private:
-  // The threaded core's opcode handlers live in machine.cpp as static
-  // members of Interp; they touch the same private state the scalar switch
-  // does.
-  friend struct Interp;
-
   struct Frame {
     std::int32_t reconv_pc;
     std::int32_t other_pc;
@@ -123,14 +110,6 @@ class Machine {
     std::int64_t base_tid = 0;
     std::int64_t block_id = 0;
     bool alive = false;
-    // Issue-slot credit for a pre-executed straight-line run (threaded core
-    // only). When the dispatcher executes a run of n batchable instructions
-    // in one host step it sets skip = n - 1; the next n - 1 times this warp
-    // is popped from the ready queue, the slot is charged and skip
-    // decremented WITHOUT executing anything, so the simulated issue
-    // schedule is cycle-identical to stepping one instruction at a time.
-    // The architectural PC during the drain is pc - skip.
-    std::uint16_t skip = 0;
     std::vector<Frame> stack;
     // Register-major (SoA) register files: element [reg * 32 + lane]. All 32
     // values of one register are contiguous, so a converged op is a unit-
@@ -189,23 +168,14 @@ class Machine {
     int resident = 0;
   };
 
-  // One step of one warp on the legacy scalar core (per-step switch over
-  // Op). No production path reaches it anymore: trace-attached and
-  // CAPELLINI_TRACE=1 runs go through the threaded core with run fusion
-  // disabled (per-issue hooks fire at what would have been the fused-run
-  // boundaries). The scalar loop is kept only as the equivalence oracle,
-  // selected by set_scalar_core_for_test.
+  // Issues one instruction of one warp: a switch over Op that executes it
+  // across the active lanes, charges its memory traffic and fires the
+  // per-issue trace hooks. Every issue slot a warp uses goes through here.
   void ExecuteInstruction(int warp_index, int sm_index);
-
-  // One dispatch of one warp on the threaded core: either a fused
-  // straight-line run (batchable ops executed across all lanes over the SoA
-  // register views, remaining issue slots charged via Warp::skip) or a
-  // single step through the instruction's handler pointer.
-  void ExecuteThreaded(int warp_index, int sm_index);
 
   // Reconvergence bookkeeping (see DESIGN.md / header comment).
   void SyncAtReconv(Warp& warp);
-  void UnwindIfEmpty(Warp& warp, int sm_index);
+  void UnwindIfEmpty(Warp& warp);
 
   // Memory transaction accounting result: completion cycle plus the detail
   // the tracing layer attributes stalls with.
@@ -217,8 +187,7 @@ class Machine {
     std::uint64_t queue_cycles = 0;
   };
   MemTxn AccountMemory(std::span<const std::uint64_t> addresses,
-                       std::size_t count, int width_bytes,
-                       bool is_atomic = false);
+                       bool is_atomic);
   // The two halves of AccountMemory: the duplicate-sector scan and the
   // queue/latency accounting. Split so the spin-poll fast path can reuse a
   // cached sector list and skip the scan. Takes the sector size as a shift
@@ -244,25 +213,6 @@ class Machine {
                   static_cast<std::size_t>(lane)];
   }
 
-  // Read-only launch context threaded through the handler functions (the
-  // scalar core reads the same data off the Machine members directly).
-  struct ExecCtx {
-    const std::int64_t* params;
-    std::int64_t grid_threads;
-    std::int64_t threads_per_block;
-  };
-  struct DecodedInstr;
-  // Converged-warp handler: executes one batchable op across the lanes of
-  // `warp` over the SoA register views. The FULL variant loops all 32 lanes
-  // unconditionally; the masked variant iterates the active mask.
-  using AluFn = void (*)(Warp& warp, const Instr& instr, const ExecCtx& ctx);
-  // Generic single-step handler: executes one instruction (memory, control
-  // flow, or a non-fusable ALU step) and returns the next PC. Memory
-  // completion lands in `mem` exactly as in the scalar core.
-  using StepFn = std::int32_t (*)(Machine& m, Warp& warp,
-                                  const DecodedInstr& d, int sm_index,
-                                  MemTxn& mem, const ExecCtx& ctx);
-
   DeviceConfig config_;
   /// log2(config_.sector_bytes), precomputed once: DedupSectors maps a lane
   /// address to its sector with a shift instead of a 64-bit divide.
@@ -279,40 +229,9 @@ class Machine {
 
   // Per-launch state.
   const Kernel* kernel_ = nullptr;
-  // Predecoded copy of the kernel: each instruction fused with its per-PC
-  // annotation bits (spin region / spin head / publish), its straight-line
-  // run length, and its handler pointers, so the issue loop reads one table
-  // and never switches on Op. Two handler streams per decoded kernel — the
-  // full-mask (converged) AluFn and the masked AluFn — cover the two warp
-  // shapes a batch can run under; warps with identical control shape share
-  // the stream.
-  struct DecodedInstr {
-    Instr instr;
-    std::uint8_t flags = 0;
-    // Number of consecutive batchable (IsStraightLineOp) instructions
-    // starting at this PC; 0 for non-batchable ops. A run executes in one
-    // dispatch on the threaded core.
-    std::uint16_t run = 0;
-    AluFn alu_full = nullptr;
-    AluFn alu_masked = nullptr;
-    StepFn step = nullptr;
-  };
-  // A decoded handler stream, cached across launches and validated by the
-  // kernel's content fingerprint (see Kernel::Fingerprint). Invalidation
-  // mirrors the old per-launch predecode: content change => rebuild.
-  struct DecodedKernel {
-    std::uint64_t fingerprint = 0;
-    std::vector<DecodedInstr> code;
-  };
-  // Returns the cached decode for `kernel`, building or rebuilding it if the
-  // pointer is new or the fingerprint no longer matches.
-  const DecodedKernel* DecodeKernel(const Kernel& kernel);
-  static void BuildDecoded(const Kernel& kernel, std::uint64_t fingerprint,
-                           DecodedKernel& out);
-
-  std::vector<std::pair<const Kernel*, std::unique_ptr<DecodedKernel>>>
-      decode_cache_;
-  const DecodedKernel* decoded_ = nullptr;  // decode of the current launch
+  // Per-PC annotation bits of kernel_ (spin region, spin head, publish
+  // store), rebuilt at each launch; the vector's storage is reused.
+  std::vector<std::uint8_t> pc_flags_;
   std::vector<std::int64_t> params_;
   std::int64_t grid_threads_ = 0;
   int threads_per_block_ = 256;
@@ -384,16 +303,13 @@ class Machine {
   std::vector<std::size_t> l2_touched_words_;
 
   // Tracing (see trace/sink.h). The per-PC spin/publish annotations the sink
-  // consumes live in decoded_->code[pc].flags.
+  // consumes live in pc_flags_.
   trace::TraceSink* trace_ = nullptr;
   int launch_index_ = -1;
 
   // Fault injection (see sim/fault.h). Null = off; every hook site is one
   // pointer test.
   FaultInjector* faults_ = nullptr;
-
-  // Test-only core selector (see set_scalar_core_for_test).
-  static std::atomic<bool> scalar_core_for_test_;
 
   // Scheduled peer-device writes (sorted by cycle at Launch; applied by the
   // main loop). ext_next_ is the first not-yet-applied entry.
