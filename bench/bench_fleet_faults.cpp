@@ -239,7 +239,8 @@ Expected<DegradedRun> RunDegraded(int devices, int rounds) {
     SolverOptions solver_options = DegradedSolverOptions();
     if (i == 0) solver_options.kernel_options.fault_injector = &injector;
     auto handle = sharded.Register(matrices.back(),
-                                   "m" + std::to_string(i), solver_options);
+                                   std::string("m").append(std::to_string(i)),
+                                   solver_options);
     if (!handle.ok()) return handle.status();
     if (handle->device != i) {
       return InvalidArgument("expected round-robin placement: matrix " +

@@ -290,8 +290,9 @@ std::vector<SweepRow> RunSweep(Idx rows, int requests,
                                          .window = 0,
                                          .empty_row_fraction = 0.1,
                                          .seed = seed});
-      auto handle = registry.Register(lower, "m" + std::to_string(seed),
-                                      DeviceOptions());
+      auto handle = registry.Register(
+          lower, std::string("m").append(std::to_string(seed)),
+          DeviceOptions());
       if (!handle.ok()) {
         std::fprintf(stderr, "FAIL: register: %s\n",
                      handle.status().ToString().c_str());
@@ -356,7 +357,8 @@ std::vector<SweepRow> RunSweep(Idx rows, int requests,
                                            .empty_row_fraction = 0.1,
                                            .seed = seed});
         clone_handles.push_back(*clone.Register(
-            lower, "c" + std::to_string(seed), DeviceOptions()));
+            lower, std::string("c").append(std::to_string(seed)),
+            DeviceOptions()));
       }
       double update_ms_total = 0.0;
       for (const serve::TraceRequest& event : trace.requests) {

@@ -63,7 +63,7 @@ struct SolveResult {
 
 struct SolverOptions {
   sim::DeviceConfig device = sim::PascalGtx1080();
-  kernels::SolveOptions kernel_options;
+  kernels::SolveOptions kernel_options{};
   int host_threads = 0;  // 0 = hardware concurrency
 };
 

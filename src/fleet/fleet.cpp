@@ -8,6 +8,7 @@
 #include <span>
 #include <utility>
 
+#include "host/serial.h"
 #include "sim/fault.h"
 #include "support/thread_pool.h"
 
@@ -275,25 +276,23 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
     // though the sequential scan below will still recover its range against
     // the repaired image.
     std::vector<bool> survivor_ok = launch_ok;
-    if (config.recovery.verify_partitions) {
-      std::vector<Val> first_pass(static_cast<std::size_t>(m), 0.0);
-      for (int d = 0; d < k; ++d) {
-        if (!launch_ok[static_cast<std::size_t>(d)]) continue;
-        const Idx begin = part.RowBegin(d);
-        const Idx end = part.RowEnd(d);
-        std::copy(outcomes[static_cast<std::size_t>(d)].x.begin() + begin,
-                  outcomes[static_cast<std::size_t>(d)].x.begin() + end,
-                  first_pass.begin() + begin);
-      }
-      for (int d = 0; d < k; ++d) {
-        if (!launch_ok[static_cast<std::size_t>(d)]) continue;
-        const Idx begin = part.RowBegin(d);
-        const Idx end = part.RowEnd(d);
-        if (begin == end) continue;
-        const Verification check = VerifyRange(lower, b, first_pass, begin,
-                                               end, config.recovery.verify);
-        if (!check.passed) survivor_ok[static_cast<std::size_t>(d)] = false;
-      }
+    std::vector<Val> first_pass(static_cast<std::size_t>(m), 0.0);
+    for (int d = 0; d < k; ++d) {
+      if (!launch_ok[static_cast<std::size_t>(d)]) continue;
+      const Idx begin = part.RowBegin(d);
+      const Idx end = part.RowEnd(d);
+      std::copy(outcomes[static_cast<std::size_t>(d)].x.begin() + begin,
+                outcomes[static_cast<std::size_t>(d)].x.begin() + end,
+                first_pass.begin() + begin);
+    }
+    for (int d = 0; d < k; ++d) {
+      if (!launch_ok[static_cast<std::size_t>(d)]) continue;
+      const Idx begin = part.RowBegin(d);
+      const Idx end = part.RowEnd(d);
+      if (begin == end) continue;
+      const Verification check = VerifyRange(lower, b, first_pass, begin, end,
+                                             config.recovery.verify);
+      if (!check.passed) survivor_ok[static_cast<std::size_t>(d)] = false;
     }
 
     // Can partition d's device rungs get arrivals at all? False when an
@@ -332,33 +331,6 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
       }
     };
 
-    // One ladder rung on `executor`'s machine. The executor's own injector
-    // stays attached (a re-execution is still a device launch and still
-    // subject to that device's faults) with the offset scoped to the failed
-    // range, so global-row fault plans keep their meaning.
-    auto attempt_on_device = [&](int executor, Idx begin, Idx end,
-                                 std::span<const kernels::RangeArrival> arrivals,
-                                 Outcome& out) -> Status {
-      kernels::SolveOptions options;
-      options.threads_per_block = config.threads_per_block;
-      options.trace_sink = fleet_->trace_sink(executor);
-      options.fault_injector = fleet_->fault_injector(executor);
-      sim::ScopedTidOffset tid_guard(options.fault_injector, begin);
-      auto range = kernels::SolveRangeOnDevice(
-          config.algorithm, lower, b, begin, end, arrivals,
-          fleet_->machine(executor), fleet_->memory(executor), options);
-      if (!range.ok()) return range.status();
-      for (const std::uint64_t cycle : range->publish_cycles) {
-        if (cycle == UINT64_MAX) {
-          return DeadlockError(
-              "recovery re-execution dropped a publish; escalating");
-        }
-      }
-      out.x = std::move(range->x);
-      out.publish_cycles = std::move(range->publish_cycles);
-      return Status::Ok();
-    };
-
     for (int d = 0; d < k; ++d) {
       const Idx begin = part.RowBegin(d);
       const Idx end = part.RowEnd(d);
@@ -366,25 +338,20 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
       Outcome& out = outcomes[static_cast<std::size_t>(d)];
       DeviceStats& ds = dstats[static_cast<std::size_t>(d)];
 
-      bool healthy = out.status.ok();
-      if (healthy) {
+      if (out.status.ok()) {
         std::copy(out.x.begin() + begin, out.x.begin() + end,
                   current.begin() + begin);
-        if (config.recovery.verify_partitions) {
-          const Verification check = VerifyRange(lower, b, current, begin, end,
-                                                 config.recovery.verify);
-          if (!check.passed) {
-            // Completed launch, corrupted values (e.g. a bit-flipped store):
-            // the first pass "succeeded" but the range is wrong. Surface the
-            // real outcome in the device stats and run the ladder.
-            healthy = false;
-            out.status = DataLoss("fleet device " + std::to_string(d) +
-                                  ": partition failed verification");
-            ds.status = out.status;
-          }
+        if (VerifyRange(lower, b, current, begin, end, config.recovery.verify)
+                .passed) {
+          continue;
         }
+        // Completed launch, corrupted values (e.g. a bit-flipped store): the
+        // first pass "succeeded" but the range is wrong. Surface the real
+        // outcome in the device stats and run the ladder.
+        out.status = DataLoss("fleet device " + std::to_string(d) +
+                              ": partition failed verification");
+        ds.status = out.status;
       }
-      if (healthy) continue;
 
       recovery_ran = true;
       FailoverRecord record;
@@ -394,14 +361,14 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
       record.residual = std::numeric_limits<double>::infinity();
       ds.failed_over = true;
 
-      const bool have_arrivals = arrivals_available(d);
-
-      // Device rungs: the owner first when it never got to launch (its
-      // machine is presumed healthy — the failure came from upstream), then
-      // the designated survivor: the lowest-indexed OTHER device whose own
-      // first-pass launch succeeded AND verified (survivor_ok).
+      // Executors in ladder order. Device rungs need arrivals: the owner
+      // first when it never got to launch (its machine is presumed healthy —
+      // the failure came from upstream), then the designated survivor: the
+      // lowest-indexed OTHER device whose own first-pass launch succeeded
+      // AND verified (survivor_ok). The fault-immune host rung is always
+      // last.
       std::vector<int> executors;
-      if (have_arrivals) {
+      if (arrivals_available(d)) {
         if (record.upstream_induced) executors.push_back(d);
         for (int s = 0; s < k; ++s) {
           if (s != d && survivor_ok[static_cast<std::size_t>(s)]) {
@@ -410,6 +377,7 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
           }
         }
       }
+      executors.push_back(kHostExecutor);
 
       bool accepted = false;
       std::vector<kernels::RangeArrival> arrivals;
@@ -417,10 +385,35 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
         record.attempts.push_back(executor);
         ++ds.recovery_attempts;
         result.stats.rows_reexecuted += static_cast<std::uint64_t>(record.rows);
-        build_arrivals(d, executor, arrivals);
-        const Status attempt =
-            attempt_on_device(executor, begin, end, arrivals, out);
-        if (!attempt.ok()) continue;
+        if (executor == kHostExecutor) {
+          // Serial substitution against the recovered image, in the device
+          // kernels' accumulation order (bit-identical recoveries); its
+          // publishes are checkpointed at cycle 0 for downstream re-runs.
+          out.x = current;
+          out.publish_cycles.assign(static_cast<std::size_t>(end - begin), 0);
+          if (!host::SolveSerial(lower, b, out.x, begin, end).ok()) continue;
+        } else {
+          // A re-execution is still a device launch, subject to the
+          // executor's own injector, with its offset scoped to the failed
+          // range so global-row fault plans keep their meaning.
+          build_arrivals(d, executor, arrivals);
+          kernels::SolveOptions options;
+          options.threads_per_block = config.threads_per_block;
+          options.trace_sink = fleet_->trace_sink(executor);
+          options.fault_injector = fleet_->fault_injector(executor);
+          sim::ScopedTidOffset tid_guard(options.fault_injector, begin);
+          auto range = kernels::SolveRangeOnDevice(
+              config.algorithm, lower, b, begin, end, arrivals,
+              fleet_->machine(executor), fleet_->memory(executor), options);
+          // A dropped publish would starve the re-executed consumers
+          // downstream: escalate.
+          if (!range.ok() ||
+              std::ranges::count(range->publish_cycles, UINT64_MAX) > 0) {
+            continue;
+          }
+          out.x = std::move(range->x);
+          out.publish_cycles = std::move(range->publish_cycles);
+        }
         std::copy(out.x.begin() + begin, out.x.begin() + end,
                   current.begin() + begin);
         const Verification check = VerifyRange(lower, b, current, begin, end,
@@ -429,49 +422,9 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
           accepted = true;
           record.recovered_on = executor;
           record.residual = check.residual;
-          ++result.stats.device_rung_recoveries;
+          ++(executor == kHostExecutor ? result.stats.host_rung_recoveries
+                                       : result.stats.device_rung_recoveries);
           break;
-        }
-      }
-
-      if (!accepted) {
-        // Host rung: serial substitution over just the failed rows against
-        // the recovered image. Immune to device faults by construction; its
-        // publishes are checkpointed at cycle 0 for downstream re-executions.
-        record.attempts.push_back(kHostExecutor);
-        ++ds.recovery_attempts;
-        result.stats.rows_reexecuted += static_cast<std::uint64_t>(record.rows);
-        const std::span<const Idx> row_ptr = lower.row_ptr();
-        const std::span<const Idx> col_idx = lower.col_idx();
-        const std::span<const Val> vals = lower.val();
-        for (Idx r = begin; r < end; ++r) {
-          // Same accumulation order as the device kernels and SolveSerial
-          // (left_sum first, then one subtract-and-divide), so a host-rung
-          // recovery reproduces the device solution bit for bit.
-          Val left_sum = 0.0;
-          Val diag = 1.0;
-          for (Idx j = row_ptr[static_cast<std::size_t>(r)];
-               j < row_ptr[static_cast<std::size_t>(r) + 1]; ++j) {
-            const Idx c = col_idx[static_cast<std::size_t>(j)];
-            if (c == r) {
-              diag = vals[static_cast<std::size_t>(j)];
-            } else {
-              left_sum += vals[static_cast<std::size_t>(j)] *
-                          current[static_cast<std::size_t>(c)];
-            }
-          }
-          current[static_cast<std::size_t>(r)] =
-              (b[static_cast<std::size_t>(r)] - left_sum) / diag;
-        }
-        out.x = current;
-        out.publish_cycles.assign(static_cast<std::size_t>(end - begin), 0);
-        const Verification check = VerifyRange(lower, b, current, begin, end,
-                                               config.recovery.verify);
-        if (check.passed) {
-          accepted = true;
-          record.recovered_on = kHostExecutor;
-          record.residual = check.residual;
-          ++result.stats.host_rung_recoveries;
         }
       }
 

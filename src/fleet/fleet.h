@@ -45,7 +45,8 @@ namespace capellini::fleet {
 ///      first-pass partition succeeded — via the same SolveRangeOnDevice
 ///      path, replaying the checkpointed upstream boundary publishes
 ///      through the ExternalStore seam,
-///   3. the fault-immune host serial rung over just the failed rows.
+///   3. the fault-immune host serial rung over just the failed rows
+///      (kHostExecutor, the last executor of the same rung loop).
 ///
 /// Partitions recover in device-index order, so a downstream partition that
 /// failed only because its producer died re-executes against the recovered
@@ -58,13 +59,11 @@ namespace capellini::fleet {
 /// byte-identical to a recovery-disabled solve.
 struct FleetRecoveryOptions {
   bool enabled = false;
-  /// Residual bound for the per-range and final stitched checks.
+  /// Residual bound for the per-range and final stitched checks. Every
+  /// partition's range is verified even if its launch reported OK — a
+  /// bit-flipped store completes "successfully" with a corrupted value only
+  /// the residual catches.
   VerifyOptions verify;
-  /// When recovery is on, every partition's range is verified even if its
-  /// launch reported OK — a bit-flipped store completes "successfully" with
-  /// a corrupted value only the residual catches. Off limits recovery to
-  /// launch failures (cheaper, but silent corruption escapes).
-  bool verify_partitions = true;
 };
 
 struct FleetConfig {

@@ -1,9 +1,20 @@
 #include "fleet/health.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace capellini::fleet {
+namespace {
+
+DeviceState ToDeviceState(Breaker::State state) {
+  switch (state) {
+    case Breaker::State::kClosed: return DeviceState::kHealthy;
+    case Breaker::State::kOpen: return DeviceState::kQuarantined;
+    case Breaker::State::kHalfOpen: return DeviceState::kProbing;
+  }
+  return DeviceState::kHealthy;
+}
+
+}  // namespace
 
 const char* DeviceStateName(DeviceState state) {
   switch (state) {
@@ -15,119 +26,56 @@ const char* DeviceStateName(DeviceState state) {
 }
 
 DeviceHealthTracker::DeviceHealthTracker(int num_devices, HealthOptions options)
-    : options_(options) {
-  devices_.resize(static_cast<std::size_t>(std::max(1, num_devices)));
+    : options_(options),
+      devices_(static_cast<std::size_t>(std::max(1, num_devices)),
+               Breaker(options)) {}
+
+void DeviceHealthTracker::CountLocked(Breaker::Transition transition) {
+  using Transition = Breaker::Transition;
+  if (transition == Transition::kProbeFailed) ++counters_.probe_failures;
+  if (transition == Transition::kTripped ||
+      transition == Transition::kProbeFailed) {
+    ++counters_.quarantines;  // a failed probe re-quarantines
+  }
+  if (transition == Transition::kProbeSucceeded) ++counters_.reinstatements;
+  if (transition == Transition::kProbeLost) ++counters_.probe_aborts;
 }
 
 DeviceHealthTracker::Admit DeviceHealthTracker::AdmitFor(int device) {
   if (!options_.enabled()) return Admit::kAllow;
   std::lock_guard<std::mutex> lock(mutex_);
-  PerDevice& dev = devices_[static_cast<std::size_t>(device)];
-  switch (dev.state) {
-    case DeviceState::kHealthy:
-      return Admit::kAllow;
-    case DeviceState::kQuarantined:
-      if (dev.quarantine_skips >= options_.probe_cooldown) {
-        dev.state = DeviceState::kProbing;
-        dev.probe_deflections = 0;
-        ++counters_.probes;
-        return Admit::kProbe;
-      }
-      ++dev.quarantine_skips;
-      break;
-    case DeviceState::kProbing:
-      // One probe in flight; keep deflecting until it reports. Some serve
-      // paths terminate a request without an outcome report (expired
-      // deadline, per-handle breaker deflection), so a probe can be lost —
-      // after probe_timeout deflections declare it dead and fall back to
-      // quarantine so a fresh probe can be issued after the cooldown.
-      if (options_.probe_timeout > 0 &&
-          ++dev.probe_deflections >= options_.probe_timeout) {
-        dev.state = DeviceState::kQuarantined;
-        dev.quarantine_skips = 0;
-        ++counters_.probe_aborts;
-      }
-      break;
-  }
-  ++counters_.deflections;
-  return Admit::kDeflect;
+  const Breaker::Admission admission =
+      devices_[static_cast<std::size_t>(device)].Admit();
+  CountLocked(admission.transition);
+  if (admission.decision == Admit::kProbe) ++counters_.probes;
+  if (admission.decision == Admit::kDeflect) ++counters_.deflections;
+  return admission.decision;
 }
 
 void DeviceHealthTracker::Report(int device, bool failure) {
   if (!options_.enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  PerDevice& dev = devices_[static_cast<std::size_t>(device)];
-  switch (dev.state) {
-    case DeviceState::kHealthy: {
-      bool trip = false;
-      if (options_.threshold > 0) {
-        if (!failure) {
-          dev.consecutive_failures = 0;
-        } else if (++dev.consecutive_failures >= options_.threshold) {
-          trip = true;
-        }
-      }
-      if (options_.window > 0) {
-        const auto window = static_cast<std::size_t>(options_.window);
-        dev.window.push_back(failure);
-        if (dev.window.size() > window) {
-          dev.window.erase(dev.window.begin());
-        }
-        if (dev.window.size() == window) {
-          const auto failures = static_cast<double>(
-              std::count(dev.window.begin(), dev.window.end(), true));
-          const double rate = std::clamp(
-              options_.rate, std::numeric_limits<double>::min(), 1.0);
-          if (failures >= rate * static_cast<double>(window)) trip = true;
-        }
-      }
-      if (trip) {
-        dev.state = DeviceState::kQuarantined;
-        dev.quarantine_skips = 0;
-        dev.consecutive_failures = 0;
-        dev.window.clear();
-        ++counters_.quarantines;
-      }
-      break;
-    }
-    case DeviceState::kProbing:
-      if (failure) {
-        dev.state = DeviceState::kQuarantined;
-        dev.quarantine_skips = 0;
-        ++counters_.probe_failures;
-        ++counters_.quarantines;  // re-quarantined by the failed probe
-      } else {
-        dev.state = DeviceState::kHealthy;
-        dev.consecutive_failures = 0;
-        dev.window.clear();
-        ++counters_.reinstatements;
-      }
-      break;
-    case DeviceState::kQuarantined:
-      break;  // stale report from a solve admitted before the quarantine
-  }
+  CountLocked(devices_[static_cast<std::size_t>(device)].Report(failure));
 }
 
 void DeviceHealthTracker::AbortProbe(int device) {
   if (!options_.enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  PerDevice& dev = devices_[static_cast<std::size_t>(device)];
-  if (dev.state != DeviceState::kProbing) return;
-  dev.state = DeviceState::kQuarantined;
-  dev.quarantine_skips = 0;
-  ++counters_.probe_aborts;
+  CountLocked(devices_[static_cast<std::size_t>(device)].AbortProbe());
 }
 
 DeviceState DeviceHealthTracker::state(int device) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return devices_[static_cast<std::size_t>(device)].state;
+  return ToDeviceState(devices_[static_cast<std::size_t>(device)].state());
 }
 
 HealthSnapshot DeviceHealthTracker::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   HealthSnapshot snap = counters_;
   snap.states.reserve(devices_.size());
-  for (const PerDevice& dev : devices_) snap.states.push_back(dev.state);
+  for (const Breaker& dev : devices_) {
+    snap.states.push_back(ToDeviceState(dev.state()));
+  }
   return snap;
 }
 

@@ -3,14 +3,11 @@
 // The serve layer's circuit breaker is per HANDLE: it protects one matrix
 // whose solves keep failing. A dying device fails every handle placed on it,
 // and the fleet needs to stop routing there wholesale — that is this
-// tracker's job. It mirrors the breaker's semantics one level up:
-//
-//   kHealthy --(threshold consecutive failures, or a full window at
-//               >= rate failures)--> kQuarantined
-//   kQuarantined --(probe_cooldown deflections)--> kProbing (one submit is
-//               let through to the device)
-//   kProbing --(probe succeeds)--> kHealthy   (reinstatement)
-//           --(probe fails)-----> kQuarantined (fresh cooldown)
+// tracker's job. It runs the same state machine one level up: one
+// support/breaker.h Breaker per device, with kHealthy / kQuarantined /
+// kProbing naming its closed / open / half-open states. The tracker only
+// adds the lock and turns the breaker's decisions and transitions into
+// HealthSnapshot counters.
 //
 // Outcomes arrive through serve::ServiceOptions::outcome_listener, so the
 // tracker sees exactly the device-path signals the breaker sees (kDeadlock,
@@ -23,35 +20,13 @@
 #include <mutex>
 #include <vector>
 
-#include "support/status.h"
+#include "support/breaker.h"
 
 namespace capellini::fleet {
 
-struct HealthOptions {
-  /// Consecutive device-path failures that quarantine a device. 0 disables
-  /// the consecutive mode.
-  int threshold = 0;
-  /// Sliding-window mode: quarantine when the last `window` outcomes are all
-  /// recorded and at least `rate` of them failed. 0 disables window mode.
-  /// Either mode's trip quarantines; both may be enabled.
-  int window = 0;
-  double rate = 0.5;
-  /// Deflected submits while quarantined before one probe is let through.
-  /// Counted in requests (deterministic for replays), like the breaker's
-  /// cooldown.
-  int probe_cooldown = 4;
-  /// Deflections observed while a probe is in flight before the probe is
-  /// declared lost and the device falls back to kQuarantined (fresh
-  /// cooldown). A probe's outcome normally arrives through the outcome
-  /// listener, but some serve paths terminate a request without one (expired
-  /// deadline, per-handle breaker short-circuit/fallback) — without a
-  /// timeout the device would stick in kProbing forever, deflecting
-  /// everything and never probing again. Counted in requests, never wall
-  /// clock (deterministic for replays). 0 disables the timeout.
-  int probe_timeout = 16;
-
-  bool enabled() const { return threshold > 0 || window > 0; }
-};
+/// probe_timeout matters here: some serve paths end a request without an
+/// outcome report (expired deadline, per-handle breaker deflection).
+using HealthOptions = BreakerOptions;
 
 enum class DeviceState { kHealthy, kQuarantined, kProbing };
 
@@ -87,7 +62,7 @@ class DeviceHealthTracker {
   /// there as the quarantine's half-open probe (kProbe), or be routed to a
   /// survivor (kDeflect). Advances the cooldown counter on deflections, so
   /// the decision sequence is a pure function of the call sequence.
-  enum class Admit { kAllow, kProbe, kDeflect };
+  using Admit = Breaker::Decision;
   Admit AdmitFor(int device);
 
   /// One terminal device-path outcome on `device` (failure = kDeadlock or
@@ -106,22 +81,12 @@ class DeviceHealthTracker {
   bool enabled() const { return options_.enabled(); }
 
  private:
-  struct PerDevice {
-    DeviceState state = DeviceState::kHealthy;
-    int consecutive_failures = 0;
-    int quarantine_skips = 0;
-    /// Deflections observed since the in-flight probe was admitted; at
-    /// options_.probe_timeout the probe is declared lost (kProbing only).
-    int probe_deflections = 0;
-    /// Last `window` outcomes (true = failure), oldest first; window mode
-    /// only. Cleared on every state change — each quarantine needs fresh
-    /// evidence, like the breaker.
-    std::vector<bool> window;
-  };
+  /// Adds one breaker transition to counters_. Caller holds mutex_.
+  void CountLocked(Breaker::Transition transition);
 
   HealthOptions options_;
   mutable std::mutex mutex_;
-  std::vector<PerDevice> devices_;
+  std::vector<Breaker> devices_;
   HealthSnapshot counters_;  // states field unused here; filled in snapshot()
 };
 

@@ -24,8 +24,7 @@ ShardedSolveService::ShardedSolveService(const ShardOptions& options)
       // exactly the breaker's signal set (host-fallback serves excluded).
       service_options.outcome_listener = [this, d](serve::MatrixHandle,
                                                    StatusCode code) {
-        health_.Report(d, code == StatusCode::kDeadlock ||
-                              code == StatusCode::kDataLoss);
+        health_.Report(d, serve::IsDeviceFailure(code));
       };
     }
     services_.push_back(std::make_unique<serve::SolveService>(

@@ -17,11 +17,11 @@
 // long-lived fleets drift to stale placement.
 //
 // Degraded-mode serving (DESIGN.md §4j): with ShardOptions::health enabled,
-// a DeviceHealthTracker watches every device's terminal device-path outcomes
-// (through serve's outcome_listener seam — the same signals the per-handle
-// breaker sees). A quarantined device stops receiving placements and its
-// existing handles FAIL OVER: deflected submits lazily re-register the
-// matrix on the designated survivor (lowest-indexed healthy device) and
+// a DeviceHealthTracker runs serve's breaker state machine per device over
+// every device's terminal device-path outcomes (through serve's
+// outcome_listener seam). A quarantined device stops receiving placements
+// and its existing handles FAIL OVER: deflected submits lazily re-register
+// the matrix on the designated survivor (lowest-indexed healthy device) and
 // serve there, with the survivor registration cached per (device, handle)
 // and the cost ledger charged on the survivor. Half-open probes periodically
 // let one submit through to the quarantined device; a success reinstates it
@@ -49,9 +49,9 @@ struct ShardOptions {
   /// is num_devices * device_byte_budget.
   std::size_t device_byte_budget = 0;
   /// Applied to every device's SolveService.
-  serve::ServiceOptions service;
+  serve::ServiceOptions service{};
   /// Device health / quarantine (disabled by default: both modes 0).
-  HealthOptions health;
+  HealthOptions health{};
 };
 
 /// A registry handle plus the device that owns it.

@@ -4,6 +4,11 @@ namespace capellini::host {
 
 Status SolveSerial(const Csr& lower, std::span<const Val> b,
                    std::span<Val> x) {
+  return SolveSerial(lower, b, x, 0, lower.rows());
+}
+
+Status SolveSerial(const Csr& lower, std::span<const Val> b, std::span<Val> x,
+                   Idx row_begin, Idx row_end) {
   if (!lower.IsLowerTriangularWithDiagonal()) {
     return InvalidArgument("matrix is not lower triangular with diagonal");
   }
@@ -12,10 +17,13 @@ Status SolveSerial(const Csr& lower, std::span<const Val> b,
       x.size() != static_cast<std::size_t>(m)) {
     return InvalidArgument("b/x size mismatch");
   }
+  if (row_begin < 0 || row_begin > row_end || row_end > m) {
+    return InvalidArgument("row range out of bounds");
+  }
 
   const auto col_idx = lower.col_idx();
   const auto val = lower.val();
-  for (Idx i = 0; i < m; ++i) {
+  for (Idx i = row_begin; i < row_end; ++i) {
     Val left_sum = 0.0;
     const Idx begin = lower.RowBegin(i);
     const Idx end = lower.RowEnd(i);

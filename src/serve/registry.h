@@ -55,7 +55,7 @@ struct RegistryOptions {
   /// rehydrate through Solver::SeedAnalysis without a host Analyze() —
   /// stale or corrupted files (kDataLoss) fall back to a cold analysis and
   /// are overwritten.
-  std::string analysis_cache_dir;
+  std::string analysis_cache_dir{};
   /// Run cold analyses on the simulated device (kernels::AnalyzeOnDevice,
   /// on the SolverOptions device) instead of the host sweep. Bit-identical
   /// level sets by construction; analysis_ms then reports simulated device

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 
 #include "core/verify.h"
 #include "kernels/launch.h"
@@ -47,7 +46,13 @@ ServiceOptions SolveService::DeterministicOptions() {
 }
 
 SolveService::SolveService(MatrixRegistry* registry, ServiceOptions options)
-    : registry_(registry), options_(options) {
+    : registry_(registry),
+      options_(options),
+      breaker_options_{.threshold = options.breaker_threshold,
+                       .window = options.breaker_window,
+                       .rate = options.breaker_rate,
+                       .probe_cooldown = options.breaker_cooldown,
+                       .probe_timeout = 0} {
   CAPELLINI_CHECK_MSG(registry_ != nullptr, "service needs a registry");
   options_.workers = std::max(1, options_.workers);
   options_.max_batch = std::clamp(options_.max_batch, 1, 6);
@@ -297,23 +302,24 @@ void SolveService::ServeGroup(std::vector<Request> group) {
 
   // Circuit breaker: one decision per dequeued group (it is one handle).
   switch (BreakerAdmit(live.front().handle)) {
-    case BreakerDecision::kShortCircuit:
-      // Open, fast-fail mode: complete without burning a launch.
-      for (Request& request : live) {
-        ServeResult result;
-        result.status = ResourceExhausted("circuit breaker open for '" +
-                                          entry.name + "' — failing fast");
-        result.algorithm = request.algorithm;
-        result.batch_size = 1;
-        result.queue_wait_ms = ElapsedMs(request.enqueue_time, dequeue_time);
-        result.dequeue_seq = request.dequeue_seq;
-        result.est_cost_ms = request.est_cost_ms;
-        stats_.RecordBreakerShortCircuit();
-        FinishRequest(request, entry, std::move(result), 1,
-                      /*report_breaker=*/false);
+    case Breaker::Decision::kDeflect:
+      if (options_.breaker_mode == BreakerMode::kFastFail) {
+        // Open, fast-fail mode: complete without burning a launch.
+        for (Request& request : live) {
+          ServeResult result;
+          result.status = ResourceExhausted("circuit breaker open for '" +
+                                            entry.name + "' — failing fast");
+          result.algorithm = request.algorithm;
+          result.batch_size = 1;
+          result.queue_wait_ms = ElapsedMs(request.enqueue_time, dequeue_time);
+          result.dequeue_seq = request.dequeue_seq;
+          result.est_cost_ms = request.est_cost_ms;
+          stats_.RecordBreakerShortCircuit();
+          FinishRequest(request, entry, std::move(result), 1,
+                        /*report_breaker=*/false);
+        }
+        return;
       }
-      return;
-    case BreakerDecision::kFallback:
       // Open, host-fallback mode: the serial CPU solver is immune to the
       // device faults that opened the breaker. Its outcome says nothing
       // about device health, so it does not feed the breaker.
@@ -324,10 +330,10 @@ void SolveService::ServeGroup(std::vector<Request> group) {
         ServeSolo(request, entry, dequeue_time, /*report_breaker=*/false);
       }
       return;
-    case BreakerDecision::kProbe:
+    case Breaker::Decision::kProbe:
       stats_.RecordBreakerProbe();
       break;  // run the full path; the outcome closes or re-opens
-    case BreakerDecision::kAllow:
+    case Breaker::Decision::kAllow:
       break;
   }
 
@@ -352,38 +358,18 @@ void SolveService::ServeSolo(Request& request,
   result.est_cost_ms = request.est_cost_ms;
 
   if (options_.reliable) {
-    ReliableOptions reliable_options;
-    reliable_options.verify.residual_bound = options_.residual_bound;
-    reliable_options.ladder = RetryLadderFor(entry);
-    auto reliable =
-        entry.solver.SolveReliable(request.algorithm, request.b,
-                                   reliable_options);
-    if (reliable.ok()) {
-      result.attempts = static_cast<int>(reliable->attempts.size());
-      result.residual = reliable->attempts.back().residual;
-      result.verified = reliable->verified;
-      result.algorithm = reliable->final_algorithm;
-      if (reliable->verified) {
-        result.solve = std::move(reliable->solve);
-        entry.cost.Observe(result.solve.solve_ms);
-      } else {
-        result.status = DataLoss("no rung of the retry ladder verified '" +
-                                 entry.name + "'");
-      }
-    } else {
-      result.status = reliable.status();
-    }
+    SolveThroughLadder(request, entry, /*spent_attempts=*/0, result);
   } else {
     // The exact Solver::Solve call the one-shot path makes — this identity
     // is the determinism-mode contract.
     auto solved = entry.solver.Solve(request.algorithm, request.b);
     if (solved.ok()) {
       result.solve = std::move(*solved);
-      entry.cost.Observe(result.solve.solve_ms);
     } else {
       result.status = solved.status();
     }
   }
+  if (result.status.ok()) entry.cost.Observe(result.solve.solve_ms);
   FinishRequest(request, entry, std::move(result), 1, report_breaker);
 }
 
@@ -412,92 +398,53 @@ void SolveService::FinishRequest(Request& request,
   request.promise.set_value(std::move(result));
 }
 
-SolveService::BreakerDecision SolveService::BreakerAdmit(MatrixHandle handle) {
-  if (options_.breaker_threshold <= 0 && options_.breaker_window <= 0) {
-    return BreakerDecision::kAllow;
+void SolveService::SolveThroughLadder(const Request& request,
+                                      const MatrixRegistry::Entry& entry,
+                                      int spent_attempts,
+                                      ServeResult& result) const {
+  ReliableOptions reliable_options;
+  reliable_options.verify.residual_bound = options_.residual_bound;
+  reliable_options.ladder = RetryLadderFor(entry);
+  auto reliable = entry.solver.SolveReliable(request.algorithm, request.b,
+                                             reliable_options);
+  if (!reliable.ok()) {
+    result.status = reliable.status();
+    return;
   }
+  result.attempts =
+      spent_attempts + static_cast<int>(reliable->attempts.size());
+  result.residual = reliable->attempts.back().residual;
+  result.verified = reliable->verified;
+  result.algorithm = reliable->final_algorithm;
+  if (reliable->verified) {
+    result.status = Status::Ok();
+    result.solve = std::move(reliable->solve);
+  } else {
+    result.status = DataLoss("no rung of the retry ladder verified '" +
+                             entry.name + "'");
+  }
+}
+
+Breaker::Decision SolveService::BreakerAdmit(MatrixHandle handle) {
+  if (!breaker_options_.enabled()) return Breaker::Decision::kAllow;
   std::lock_guard<std::mutex> lock(breaker_mutex_);
-  Breaker& breaker = breakers_[handle];
-  switch (breaker.state) {
-    case Breaker::State::kClosed:
-      return BreakerDecision::kAllow;
-    case Breaker::State::kOpen:
-      if (breaker.open_skips >= options_.breaker_cooldown) {
-        breaker.state = Breaker::State::kHalfOpen;
-        return BreakerDecision::kProbe;
-      }
-      ++breaker.open_skips;
-      break;
-    case Breaker::State::kHalfOpen:
-      // A probe is in flight; keep deflecting until it reports.
-      break;
-  }
-  return options_.breaker_mode == BreakerMode::kFastFail
-             ? BreakerDecision::kShortCircuit
-             : BreakerDecision::kFallback;
+  return breakers_.try_emplace(handle, breaker_options_)
+      .first->second.Admit()
+      .decision;
 }
 
 void SolveService::BreakerReport(MatrixHandle handle, StatusCode code) {
-  if (options_.breaker_threshold <= 0 && options_.breaker_window <= 0) return;
-  // Only device-health signals move the breaker: the watchdog (kDeadlock)
-  // and failed verification (kDataLoss). Everything else — including a
-  // plain OK — is evidence the device path works.
-  const bool failure =
-      code == StatusCode::kDeadlock || code == StatusCode::kDataLoss;
+  if (!breaker_options_.enabled()) return;
   std::lock_guard<std::mutex> lock(breaker_mutex_);
-  Breaker& breaker = breakers_[handle];
-  switch (breaker.state) {
-    case Breaker::State::kClosed: {
-      bool trip = false;
-      if (options_.breaker_threshold > 0) {
-        if (!failure) {
-          breaker.consecutive_failures = 0;
-        } else if (++breaker.consecutive_failures >=
-                   options_.breaker_threshold) {
-          trip = true;
-        }
-      }
-      if (options_.breaker_window > 0) {
-        const auto window =
-            static_cast<std::size_t>(options_.breaker_window);
-        breaker.window.push_back(failure);
-        while (breaker.window.size() > window) breaker.window.pop_front();
-        if (breaker.window.size() == window) {
-          // Open on failure RATE: intermittent faults (say 1 in 3 solves
-          // deadlocks) never run up a consecutive streak but still poison
-          // the handle. A partial window never trips — W requests of
-          // evidence first.
-          const auto failures = static_cast<double>(
-              std::count(breaker.window.begin(), breaker.window.end(), true));
-          const double rate =
-              std::clamp(options_.breaker_rate,
-                         std::numeric_limits<double>::min(), 1.0);
-          if (failures >= rate * static_cast<double>(window)) trip = true;
-        }
-      }
-      if (trip) {
-        breaker.state = Breaker::State::kOpen;
-        breaker.open_skips = 0;
-        breaker.consecutive_failures = 0;
-        breaker.window.clear();  // each open needs fresh evidence
-        stats_.RecordBreakerOpen();
-      }
-      break;
-    }
-    case Breaker::State::kHalfOpen:
-      if (failure) {
-        breaker.state = Breaker::State::kOpen;
-        breaker.open_skips = 0;
-        stats_.RecordBreakerProbeFailure();
-        stats_.RecordBreakerOpen();  // re-opened by a failed probe
-      } else {
-        breaker.state = Breaker::State::kClosed;
-        breaker.consecutive_failures = 0;
-        breaker.window.clear();
-      }
-      break;
-    case Breaker::State::kOpen:
-      break;  // stale report from a launch that began before the open
+  const Breaker::Transition transition =
+      breakers_.try_emplace(handle, breaker_options_)
+          .first->second.Report(IsDeviceFailure(code));
+  if (transition == Breaker::Transition::kProbeFailed) {
+    stats_.RecordBreakerProbeFailure();
+  }
+  if (transition == Breaker::Transition::kTripped ||
+      transition == Breaker::Transition::kProbeFailed) {
+    stats_.RecordBreakerOpen();  // a failed probe re-opens
   }
 }
 
@@ -565,26 +512,7 @@ void SolveService::ServeBatched(std::vector<Request>& group,
       // Rescue the column solo through the full retry ladder; the shared
       // launch (whether failed outright or merely unverified) counts as one
       // spent attempt.
-      ReliableOptions reliable_options;
-      reliable_options.verify.residual_bound = options_.residual_bound;
-      reliable_options.ladder = RetryLadderFor(entry);
-      auto rescued = entry.solver.SolveReliable(request.algorithm, request.b,
-                                                reliable_options);
-      if (rescued.ok()) {
-        result.attempts = 1 + static_cast<int>(rescued->attempts.size());
-        result.residual = rescued->attempts.back().residual;
-        result.verified = rescued->verified;
-        result.algorithm = rescued->final_algorithm;
-        if (rescued->verified) {
-          result.status = Status::Ok();
-          result.solve = std::move(rescued->solve);
-        } else {
-          result.status = DataLoss("no rung of the retry ladder verified '" +
-                                   entry.name + "'");
-        }
-      } else {
-        result.status = rescued.status();
-      }
+      SolveThroughLadder(request, entry, /*spent_attempts=*/1, result);
     }
     FinishRequest(request, entry, std::move(result), k,
                   /*report_breaker=*/true);

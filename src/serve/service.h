@@ -31,7 +31,10 @@
 //       model, so admission estimates track the workload;
 //     * simulator watchdog trips (the naive kernel's deadlock) surface as
 //       the kDeadlock Status inside the future, exactly like the library
-//       path. Nothing on a served path aborts the process.
+//       path. Nothing on a served path aborts the process;
+//     * a per-handle support/breaker.h Breaker deflects a handle whose
+//       device path keeps failing: the state machine the fleet's
+//       DeviceHealthTracker runs per device.
 //
 // Determinism contract: with DeterministicOptions() (workers=1, max_batch=1,
 // no deadlines, cost admission off) the service is a plain FIFO executor —
@@ -55,6 +58,7 @@
 #include "core/solver.h"
 #include "serve/registry.h"
 #include "serve/stats.h"
+#include "support/breaker.h"
 
 namespace capellini {
 class ThreadPool;  // support/thread_pool.h
@@ -126,24 +130,22 @@ struct ServiceOptions {
   /// ladder, whose fast rungs usually recover them in one cheap retry.
   /// 0 = one ladder (DefaultRetryLadder) for every handle.
   double ladder_cost_threshold_ms = 0.0;
-  /// Circuit breaker: this many CONSECUTIVE device failures (kDeadlock or
-  /// kDataLoss) on one handle open its breaker. 0 = breaker disabled.
+  /// Per-handle circuit breaker over device failures (IsDeviceFailure),
+  /// disabled while breaker_threshold and breaker_window are both 0. The
+  /// breaker_* fields map once onto a BreakerOptions (support/breaker.h
+  /// documents the semantics) with no probe timeout: every probe reports
+  /// through FinishRequest, because expired requests are filtered out before
+  /// the breaker decides. breaker_threshold: consecutive failures that open.
   int breaker_threshold = 0;
-  /// While open, this many dequeued requests are deflected (per
-  /// breaker_mode) before one half-open probe is let through; the probe's
-  /// outcome closes the breaker or re-opens it. Counted in requests, not
-  /// wall clock, so tests and replays are deterministic.
+  /// Dequeued requests deflected (per breaker_mode) while open before one
+  /// half-open probe is let through.
   int breaker_cooldown = 4;
   BreakerMode breaker_mode = BreakerMode::kFastFail;
-  /// Sliding-window breaker: track the last `breaker_window` reported device
-  /// outcomes per handle and open when the window is FULL and its failure
-  /// fraction reaches `breaker_rate`. Catches intermittent faults (e.g. a
-  /// 1-in-3 dropped publish) that never produce `breaker_threshold`
-  /// consecutive failures. 0 = window mode off. Both modes may be enabled
-  /// at once; either trip opens the breaker. Opening (and a successful
-  /// half-open probe) clears the window, so each open needs fresh evidence.
+  /// Open when the last `breaker_window` outcomes are all in and at least
+  /// `breaker_rate` of them failed, which catches intermittent faults (e.g.
+  /// a 1-in-3 dropped publish) that never produce `breaker_threshold`
+  /// consecutive failures. 0 = window mode off.
   int breaker_window = 0;
-  /// Failure fraction that opens a full window. Clamped to (0, 1].
   double breaker_rate = 0.5;
   /// Observer for terminal DEVICE-PATH outcomes, called once per served
   /// request with (handle, terminal status code) — exactly the signals the
@@ -152,8 +154,15 @@ struct ServiceOptions {
   /// facade feeds each device's per-device health tracker through this.
   /// Called from worker threads; must be thread-safe and must not call back
   /// into the service.
-  std::function<void(MatrixHandle, StatusCode)> outcome_listener;
+  std::function<void(MatrixHandle, StatusCode)> outcome_listener{};
 };
+
+/// The breaker's failure set: the watchdog (kDeadlock) and failed
+/// verification (kDataLoss). Every other terminal code, a plain OK included,
+/// is evidence the device path works.
+inline bool IsDeviceFailure(StatusCode code) {
+  return code == StatusCode::kDeadlock || code == StatusCode::kDataLoss;
+}
 
 struct RequestOptions {
   /// Algorithm override; nullopt = the handle's memoized recommendation.
@@ -256,22 +265,6 @@ class SolveService {
     std::promise<ServeResult> promise;
   };
 
-  /// Per-handle circuit breaker: closed -> (threshold consecutive device
-  /// failures) -> open -> (cooldown deflections) -> half-open probe ->
-  /// closed on success / open on failure. All transitions happen at serve
-  /// time under breaker_mutex_, driven by request counts — deterministic
-  /// under DeterministicOptions.
-  struct Breaker {
-    enum class State { kClosed, kOpen, kHalfOpen };
-    State state = State::kClosed;
-    int consecutive_failures = 0;
-    int open_skips = 0;
-    /// Last `breaker_window` outcomes (true = failure), oldest first. Only
-    /// maintained when window mode is on.
-    std::deque<bool> window;
-  };
-  enum class BreakerDecision { kAllow, kProbe, kShortCircuit, kFallback };
-
   void WorkerLoop();
   /// Inserts in scheduling order (kEdf: sorted by (deadline, seq); kFifo:
   /// tail). Returns true if the request landed ahead of queued work.
@@ -286,16 +279,27 @@ class SolveService {
   void ServeBatched(std::vector<Request>& group,
                     const MatrixRegistry::Entry& entry,
                     Clock::time_point dequeue_time);
-  /// One request through Solve or SolveReliable (per options_.reliable).
+  /// One request through Solve or the retry ladder (per options_.reliable).
   /// `report_breaker` is false on breaker-fallback serves: a host solve says
   /// nothing about the device path's health.
   void ServeSolo(Request& request, const MatrixRegistry::Entry& entry,
                  Clock::time_point dequeue_time, bool report_breaker);
+  /// The one Solver::SolveReliable call: runs `request` through the retry
+  /// ladder and fills `result` with the verified solve, or kDataLoss when no
+  /// rung verified. `spent_attempts` counts attempts already made for the
+  /// request (a coalesced launch whose column is being rescued).
+  void SolveThroughLadder(const Request& request,
+                          const MatrixRegistry::Entry& entry,
+                          int spent_attempts, ServeResult& result) const;
   /// Records stats + breaker outcome and resolves the promise — every
   /// non-expired terminal outcome funnels through here exactly once.
   void FinishRequest(Request& request, const MatrixRegistry::Entry& entry,
                      ServeResult result, int batch_size, bool report_breaker);
-  BreakerDecision BreakerAdmit(MatrixHandle handle);
+  /// Per-handle circuit breaker (support/breaker.h): one decision per
+  /// dequeued group, one report per device-path outcome, both under
+  /// breaker_mutex_ and driven by request counts — deterministic under
+  /// DeterministicOptions.
+  Breaker::Decision BreakerAdmit(MatrixHandle handle);
   void BreakerReport(MatrixHandle handle, StatusCode code);
   /// The retry ladder for this entry under ladder_cost_threshold_ms (empty =
   /// ReliableOptions' default). serve_test asserts the choice both ways.
@@ -317,6 +321,7 @@ class SolveService {
 
   // Breaker state is per handle and outlives entry eviction (a re-registered
   // handle id is new, so stale state cannot leak onto a different matrix).
+  BreakerOptions breaker_options_;  // the flat breaker_* fields, mapped once
   mutable std::mutex breaker_mutex_;
   std::map<MatrixHandle, Breaker> breakers_;
 

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdio>
-#include <cstring>
 
 namespace capellini::sim {
 namespace {
@@ -157,12 +156,19 @@ Expected<FaultPlan> ReadFaultPlanJson(const std::string& path) {
   bool any = false;
   // Minimal scanner for the writer's schema (see serve/replay.cpp): each key
   // is optional, unknown keys are ignored, defaults survive.
+  // find_value returns the text after `"key"`, or nullptr if it is absent.
+  auto find_value = [&text](const char* key) -> const char* {
+    std::string quoted = "\"";
+    quoted.append(key).push_back('"');
+    const std::size_t pos = text.find(quoted);
+    return pos == std::string::npos ? nullptr
+                                    : text.c_str() + pos + quoted.size();
+  };
   auto read_u64 = [&](const char* key, std::uint64_t& out) -> Status {
-    const std::size_t pos = text.find("\"" + std::string(key) + "\"");
-    if (pos == std::string::npos) return Status::Ok();
+    const char* value_text = find_value(key);
+    if (value_text == nullptr) return Status::Ok();
     unsigned long long value = 0;
-    if (std::sscanf(text.c_str() + pos + std::strlen(key) + 2, " : %llu",
-                    &value) != 1) {
+    if (std::sscanf(value_text, " : %llu", &value) != 1) {
       return IoError(path + ": malformed \"" + key + "\" value");
     }
     out = value;
@@ -170,11 +176,10 @@ Expected<FaultPlan> ReadFaultPlanJson(const std::string& path) {
     return Status::Ok();
   };
   auto read_rate = [&](const char* key, double& out) -> Status {
-    const std::size_t pos = text.find("\"" + std::string(key) + "\"");
-    if (pos == std::string::npos) return Status::Ok();
+    const char* value_text = find_value(key);
+    if (value_text == nullptr) return Status::Ok();
     double value = 0.0;
-    if (std::sscanf(text.c_str() + pos + std::strlen(key) + 2, " : %lf",
-                    &value) != 1) {
+    if (std::sscanf(value_text, " : %lf", &value) != 1) {
       return IoError(path + ": malformed \"" + key + "\" value");
     }
     if (value < 0.0 || value > 1.0) {
@@ -196,11 +201,10 @@ Expected<FaultPlan> ReadFaultPlanJson(const std::string& path) {
       read_u64("mem_delay_cycles", plan.mem_delay_cycles));
   CAPELLINI_RETURN_IF_ERROR(read_u64("max_faults", plan.max_faults));
   auto read_i64 = [&](const char* key, std::int64_t& out) -> Status {
-    const std::size_t pos = text.find("\"" + std::string(key) + "\"");
-    if (pos == std::string::npos) return Status::Ok();
+    const char* value_text = find_value(key);
+    if (value_text == nullptr) return Status::Ok();
     long long value = 0;
-    if (std::sscanf(text.c_str() + pos + std::strlen(key) + 2, " : %lld",
-                    &value) != 1) {
+    if (std::sscanf(value_text, " : %lld", &value) != 1) {
       return IoError(path + ": malformed \"" + key + "\" value");
     }
     out = value;

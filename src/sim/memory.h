@@ -18,7 +18,7 @@ using DevicePtr = std::uint64_t;
 
 class DeviceMemory {
  public:
-  DeviceMemory() { bytes_.resize(kBaseOffset, 0); }
+  DeviceMemory() : bytes_(kBaseOffset, 0) {}
 
   /// Allocates `size` bytes aligned to `alignment` (power of two).
   DevicePtr Alloc(std::uint64_t size, std::uint64_t alignment = 256);
@@ -34,10 +34,7 @@ class DeviceMemory {
   /// Releases every allocation and rewinds the bump pointer, so one arena can
   /// be reused across independent uploads (the fleet re-uploads a problem per
   /// device launch). Previously handed-out DevicePtrs become invalid.
-  void Reset() {
-    bytes_.clear();
-    bytes_.resize(kBaseOffset, 0);
-  }
+  void Reset() { bytes_.assign(kBaseOffset, 0); }
 
   /// Host -> device copy.
   template <typename T>

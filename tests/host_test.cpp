@@ -53,6 +53,24 @@ TEST(SerialTest, RecoversReferenceSolution) {
   EXPECT_LE(MaxRelativeError(x, problem.x_true), 1e-11);
 }
 
+TEST(SerialTest, RowRangeFormResumesAFullSolveBitForBit) {
+  const Csr lower = MakeRandomLower({.rows = 500,
+                                     .avg_strict_nnz_per_row = 4.0,
+                                     .window = 0,
+                                     .empty_row_fraction = 0.1,
+                                     .seed = 5});
+  const ReferenceProblem problem = MakeReferenceProblem(lower, 6);
+  std::vector<Val> full(problem.b.size());
+  ASSERT_TRUE(SolveSerial(lower, problem.b, full).ok());
+  // Rows [0, 200) solved first, then [200, 500) against them.
+  std::vector<Val> split(problem.b.size());
+  ASSERT_TRUE(SolveSerial(lower, problem.b, split, 0, 200).ok());
+  ASSERT_TRUE(SolveSerial(lower, problem.b, split, 200, 500).ok());
+  EXPECT_EQ(split, full);
+  EXPECT_FALSE(SolveSerial(lower, problem.b, split, 200, 501).ok());
+  EXPECT_FALSE(SolveSerial(lower, problem.b, split, 300, 200).ok());
+}
+
 class HostParallelSolvers : public ::testing::TestWithParam<int> {};
 
 TEST_P(HostParallelSolvers, LevelSetMatchesSerial) {

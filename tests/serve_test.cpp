@@ -352,8 +352,8 @@ TEST(ServiceTest, DeterminismModeByteReproducesSerialOneShotPath) {
   MatrixRegistry registry;
   std::vector<MatrixHandle> handles;
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    auto handle = registry.Register(corpus[i], "m" + std::to_string(i),
-                                    TinyOptions());
+    auto handle = registry.Register(
+        corpus[i], std::string("m").append(std::to_string(i)), TinyOptions());
     ASSERT_TRUE(handle.ok());
     handles.push_back(*handle);
   }
@@ -927,8 +927,8 @@ TEST(ServiceTest, MixedDeadlinePreloadMissRateAndChecksumVsFifoSeed) {
   MatrixRegistry registry;
   std::vector<MatrixHandle> handles;
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    auto handle = registry.Register(corpus[i], "m" + std::to_string(i),
-                                    TinyOptions());
+    auto handle = registry.Register(
+        corpus[i], std::string("m").append(std::to_string(i)), TinyOptions());
     ASSERT_TRUE(handle.ok());
     handles.push_back(*handle);
   }

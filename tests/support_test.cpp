@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 
+#include "support/breaker.h"
 #include "support/cli.h"
 #include "support/rng.h"
 #include "support/status.h"
@@ -260,6 +261,42 @@ TEST(TimerTest, MeasuresElapsedTime) {
   for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(i);
   EXPECT_GE(timer.ElapsedMs(), 0.0);
   EXPECT_GE(timer.ElapsedSec(), 0.0);
+}
+
+TEST(BreakerTest, TripsProbesAndReportsEachTransition) {
+  using Decision = Breaker::Decision;
+  using Transition = Breaker::Transition;
+  Breaker breaker(
+      {.threshold = 2, .window = 0, .rate = 0.5, .probe_cooldown = 1,
+       .probe_timeout = 2});
+  EXPECT_EQ(breaker.Report(true), Transition::kNone);
+  EXPECT_EQ(breaker.Report(true), Transition::kTripped);
+  EXPECT_EQ(breaker.state(), Breaker::State::kOpen);
+  EXPECT_EQ(breaker.Report(true), Transition::kNone);  // stale while open
+
+  EXPECT_EQ(breaker.Admit().decision, Decision::kDeflect);  // cooldown
+  EXPECT_EQ(breaker.Admit().decision, Decision::kProbe);
+  EXPECT_EQ(breaker.Report(true), Transition::kProbeFailed);
+
+  // A probe that never reports: aborted, or timed out by deflections.
+  breaker.Admit();
+  EXPECT_EQ(breaker.Admit().decision, Decision::kProbe);
+  EXPECT_EQ(breaker.AbortProbe(), Transition::kProbeLost);
+  EXPECT_EQ(breaker.AbortProbe(), Transition::kNone);  // no probe in flight
+  breaker.Admit();
+  EXPECT_EQ(breaker.Admit().decision, Decision::kProbe);
+  EXPECT_EQ(breaker.Admit().transition, Transition::kNone);
+  const Breaker::Admission timed_out = breaker.Admit();
+  EXPECT_EQ(timed_out.decision, Decision::kDeflect);
+  EXPECT_EQ(timed_out.transition, Transition::kProbeLost);
+
+  breaker.Admit();
+  EXPECT_EQ(breaker.Admit().decision, Decision::kProbe);
+  EXPECT_EQ(breaker.Report(false), Transition::kProbeSucceeded);
+  EXPECT_EQ(breaker.state(), Breaker::State::kClosed);
+  EXPECT_EQ(breaker.Admit().decision, Decision::kAllow);
+  // Closing starts from a clean slate: one failure does not re-trip.
+  EXPECT_EQ(breaker.Report(true), Transition::kNone);
 }
 
 }  // namespace

@@ -812,8 +812,8 @@ TEST(ReplayUpdateTest, MixedTraceReplayVerifiesEverySolution) {
                                        .window = 0,
                                        .empty_row_fraction = 0.1,
                                        .seed = seed});
-    auto handle =
-        registry.Register(lower, "m" + std::to_string(seed), TinyOptions());
+    auto handle = registry.Register(
+        lower, std::string("m").append(std::to_string(seed)), TinyOptions());
     ASSERT_TRUE(handle.ok());
     handles.push_back(*handle);
   }
