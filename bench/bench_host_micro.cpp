@@ -1,8 +1,12 @@
 // google-benchmark microbenchmarks for the HOST solvers (real CPU execution,
 // real wall-clock): serial, level-set with threads, sync-free with atomics,
-// plus the level-set preprocessing cost itself. These complement the
-// simulated device numbers with measurements a user can reproduce natively.
+// plus the level-set preprocessing cost itself and the matrix rebuild of a
+// streaming update. These complement the simulated device numbers with
+// measurements a user can reproduce natively.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "gen/banded.h"
 #include "gen/level_structured.h"
@@ -12,6 +16,7 @@
 #include "host/serial.h"
 #include "host/syncfree_cpu.h"
 #include "matrix/triangular.h"
+#include "update/delta.h"
 
 namespace capellini {
 namespace {
@@ -93,6 +98,34 @@ void BM_LevelSetPreprocessing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LevelSetPreprocessing)->Args({0, 1 << 15})->Args({1, 1 << 15});
+
+// One ApplyDelta's matrix rebuild: 8-delta batches, value-only (0) or
+// structural (1), on a 2^17-row random-prefix factor shaped like the largest
+// factor perfbench's update_mix updates. Every batch applies to the same
+// factor, so each iteration does the same work.
+void BM_ApplyToMatrix(benchmark::State& state) {
+  const bool structural = state.range(0) != 0;
+  const Csr matrix = MakeRandomLower({.rows = 1 << 17,
+                                      .avg_strict_nnz_per_row = 2.5,
+                                      .window = 0,
+                                      .empty_row_fraction = 0.3,
+                                      .seed = 3});
+  std::vector<update::DeltaBatch> batches;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    batches.push_back(update::MakeRandomBatch(matrix, 8, structural, seed));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto mutated =
+        update::ApplyToMatrix(matrix, batches[next++ % batches.size()]);
+    benchmark::DoNotOptimize(mutated);
+  }
+}
+BENCHMARK(BM_ApplyToMatrix)
+    ->ArgName("structural")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace capellini

@@ -1,7 +1,7 @@
 #include "update/delta.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -42,11 +42,6 @@ std::string DeltaLabel(std::size_t index, const Delta& d) {
 
 Expected<Csr> ApplyToMatrix(const Csr& lower, const DeltaBatch& batch) {
   const Idx n = lower.rows();
-
-  // Bucket deltas by row (batch order preserved within a row; deltas on
-  // different rows are independent, so per-row replay keeps the batch's
-  // "later deltas see earlier ones" semantics).
-  std::map<Idx, std::vector<std::size_t>> by_row;
   const std::vector<Delta>& deltas = batch.deltas();
   for (std::size_t i = 0; i < deltas.size(); ++i) {
     const Delta& d = deltas[i];
@@ -60,20 +55,31 @@ Expected<Csr> ApplyToMatrix(const Csr& lower, const DeltaBatch& batch) {
                              ": the diagonal cannot be inserted or erased "
                              "(SpTRSV needs a full nonzero diagonal)");
     }
-    by_row[d.row].push_back(i);
   }
 
+  // Order the deltas by row. The sort is stable, so batch order is preserved
+  // within a row; deltas on different rows are independent, so per-row
+  // replay keeps the batch's "later deltas see earlier ones" semantics.
+  std::vector<std::size_t> order(deltas.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return deltas[a].row < deltas[b].row;
+                   });
+
   // Replay each touched row's edits against a working (col, value) list.
-  std::map<Idx, std::vector<std::pair<Idx, Val>>> new_rows;
-  for (const auto& [row, indices] : by_row) {
+  std::vector<Csr::RowPatch> patches;
+  for (std::size_t k = 0; k < order.size();) {
+    const Idx row = deltas[order[k]].row;
     const auto cols = lower.RowCols(row);
     const auto vals = lower.RowVals(row);
     std::vector<std::pair<Idx, Val>> entries;
-    entries.reserve(cols.size() + indices.size());
+    entries.reserve(cols.size() + order.size() - k);
     for (std::size_t j = 0; j < cols.size(); ++j) {
       entries.emplace_back(cols[j], vals[j]);
     }
-    for (const std::size_t i : indices) {
+    for (; k < order.size() && deltas[order[k]].row == row; ++k) {
+      const std::size_t i = order[k];
       const Delta& d = deltas[i];
       auto it = std::lower_bound(
           entries.begin(), entries.end(), d.col,
@@ -108,41 +114,9 @@ Expected<Csr> ApplyToMatrix(const Csr& lower, const DeltaBatch& batch) {
           break;
       }
     }
-    new_rows.emplace(row, std::move(entries));
+    patches.push_back({row, std::move(entries)});
   }
-
-  // Rebuild the CSR arrays; untouched rows copy through unchanged.
-  std::vector<Idx> row_ptr(static_cast<std::size_t>(n) + 1, 0);
-  for (Idx i = 0; i < n; ++i) {
-    const auto it = new_rows.find(i);
-    const Idx len = it != new_rows.end() ? static_cast<Idx>(it->second.size())
-                                         : lower.RowLen(i);
-    row_ptr[static_cast<std::size_t>(i) + 1] =
-        row_ptr[static_cast<std::size_t>(i)] + len;
-  }
-  const std::size_t nnz = static_cast<std::size_t>(row_ptr.back());
-  std::vector<Idx> col_idx(nnz);
-  std::vector<Val> val(nnz);
-  for (Idx i = 0; i < n; ++i) {
-    std::size_t dst = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(i)]);
-    const auto it = new_rows.find(i);
-    if (it != new_rows.end()) {
-      for (const auto& [col, v] : it->second) {
-        col_idx[dst] = col;
-        val[dst] = v;
-        ++dst;
-      }
-    } else {
-      const auto cols = lower.RowCols(i);
-      const auto vals = lower.RowVals(i);
-      for (std::size_t j = 0; j < cols.size(); ++j, ++dst) {
-        col_idx[dst] = cols[j];
-        val[dst] = vals[j];
-      }
-    }
-  }
-  return Csr(n, lower.cols(), std::move(row_ptr), std::move(col_idx),
-             std::move(val));
+  return lower.WithRowsReplaced(patches);
 }
 
 namespace {

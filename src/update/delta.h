@@ -75,6 +75,9 @@ class DeltaBatch {
 ///  * kErase targets a strictly-lower position that is currently present.
 /// Later deltas see earlier ones (insert-then-update is legal; double-insert
 /// is not). On any violation returns kInvalidArgument naming the delta.
+/// Building the result costs one bulk copy of `lower` plus the touched rows
+/// (Csr::WithRowsReplaced); when `lower` has the lower-triangular shape, only
+/// the touched rows are checked for it.
 Expected<Csr> ApplyToMatrix(const Csr& lower, const DeltaBatch& batch);
 
 /// Draws a deterministic batch of `num_deltas` edits against `lower`.

@@ -82,6 +82,97 @@ TEST(CsrTest, IsLowerTriangularWithDiagonal) {
   coo3.Add(0, 0, 1.0);
   coo3.Add(1, 1, 1.0);
   EXPECT_FALSE(CooToCsr(std::move(coo3)).IsLowerTriangularWithDiagonal());
+
+  // Empty row 1.
+  const Csr empty_row(2, 2, {0, 1, 1}, {0}, {1.0});
+  EXPECT_FALSE(empty_row.IsLowerTriangularWithDiagonal());
+
+  // A default-constructed (0x0) matrix has no row to break the shape.
+  EXPECT_TRUE(Csr().IsLowerTriangularWithDiagonal());
+
+  // Copies and moves keep the recorded shape.
+  const Csr lower = Figure1Matrix();
+  const Csr upper = TransposeCsr(lower);
+  ASSERT_FALSE(upper.IsLowerTriangularWithDiagonal());
+  Csr lower_copy = lower;
+  Csr upper_copy = upper;
+  EXPECT_TRUE(lower_copy.IsLowerTriangularWithDiagonal());
+  EXPECT_FALSE(upper_copy.IsLowerTriangularWithDiagonal());
+  const Csr lower_moved = std::move(lower_copy);
+  const Csr upper_moved = std::move(upper_copy);
+  EXPECT_TRUE(lower_moved.IsLowerTriangularWithDiagonal());
+  EXPECT_FALSE(upper_moved.IsLowerTriangularWithDiagonal());
+}
+
+TEST(CsrTest, WithRowsReplacedCopiesUntouchedRowsAroundThePatches) {
+  // 4x4:  row0: (0,0)=1  row1: (1,0)=2 (1,1)=3  row2: (2,2)=4
+  //       row3: (3,0)=5 (3,2)=6 (3,3)=7
+  const Csr m(4, 4, {0, 1, 3, 4, 7}, {0, 0, 1, 2, 0, 2, 3},
+              {1, 2, 3, 4, 5, 6, 7});
+  ASSERT_TRUE(m.IsLowerTriangularWithDiagonal());
+
+  const std::vector<Csr::RowPatch> none;
+  auto same = m.WithRowsReplaced(none);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(*same, m);
+
+  // Shrink row 1 and rewrite the last row; rows 0 and 2 are copied runs.
+  const std::vector<Csr::RowPatch> patches = {
+      {1, {{1, 9.0}}},
+      {3, {{1, 8.0}, {2, 6.5}, {3, 7.0}}}};
+  auto patched = m.WithRowsReplaced(patches);
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+  const Csr expected(4, 4, {0, 1, 2, 3, 6}, {0, 1, 2, 1, 2, 3},
+                     {1, 9, 4, 8, 6.5, 7});
+  EXPECT_EQ(*patched, expected);
+  EXPECT_TRUE(patched->Validate().ok());
+  EXPECT_TRUE(patched->IsLowerTriangularWithDiagonal());
+  EXPECT_EQ(m.nnz(), 7);  // the source is untouched
+}
+
+TEST(CsrTest, WithRowsReplacedDerivesTheShapeFromThePatchedRows) {
+  const Csr m = Figure1Matrix();
+  // Drop row 5's diagonal, then put it back.
+  auto broken =
+      m.WithRowsReplaced(std::vector<Csr::RowPatch>{{5, {{2, -0.5}}}});
+  ASSERT_TRUE(broken.ok());
+  EXPECT_FALSE(broken->IsLowerTriangularWithDiagonal());
+  auto mended = broken->WithRowsReplaced(
+      std::vector<Csr::RowPatch>{{5, {{2, -0.5}, {5, 1.0}}}});
+  ASSERT_TRUE(mended.ok());
+  EXPECT_TRUE(mended->IsLowerTriangularWithDiagonal());
+  EXPECT_EQ(*mended, m);
+
+  // A matrix with two bad rows (0 is empty, 1 has an upper entry) needs
+  // both patched before it has the shape.
+  const Csr bad(3, 3, {0, 0, 2, 3}, {1, 2, 2}, {1, 1, 1});
+  ASSERT_FALSE(bad.IsLowerTriangularWithDiagonal());
+  auto one = bad.WithRowsReplaced(std::vector<Csr::RowPatch>{{0, {{0, 1.0}}}});
+  ASSERT_TRUE(one.ok());
+  EXPECT_FALSE(one->IsLowerTriangularWithDiagonal());
+  auto both = one->WithRowsReplaced(
+      std::vector<Csr::RowPatch>{{1, {{0, 1.0}, {1, 1.0}}}});
+  ASSERT_TRUE(both.ok());
+  EXPECT_TRUE(both->IsLowerTriangularWithDiagonal());
+  EXPECT_EQ(*both, Csr(3, 3, {0, 1, 3, 4}, {0, 0, 1, 2}, {1, 1, 1, 1}));
+}
+
+TEST(CsrTest, WithRowsReplacedRejectsMalformedPatches) {
+  const Csr m = Figure1Matrix();
+  const auto expect_invalid = [&](std::vector<Csr::RowPatch> patches,
+                                  const char* what) {
+    auto result = m.WithRowsReplaced(patches);
+    ASSERT_FALSE(result.ok()) << what;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  expect_invalid({{3, {{3, 1.0}}}, {2, {{2, 1.0}}}}, "rows descending");
+  expect_invalid({{2, {{2, 1.0}}}, {2, {{2, 1.0}}}}, "row repeated");
+  expect_invalid({{8, {{0, 1.0}}}}, "row out of range");
+  expect_invalid({{-1, {{0, 1.0}}}}, "negative row");
+  expect_invalid({{4, {{1, 1.0}, {0, 1.0}, {4, 1.0}}}}, "columns unsorted");
+  expect_invalid({{4, {{1, 1.0}, {1, 1.0}, {4, 1.0}}}}, "column repeated");
+  expect_invalid({{4, {{-1, 1.0}, {4, 1.0}}}}, "negative column");
+  expect_invalid({{4, {{4, 1.0}, {8, 1.0}}}}, "column out of range");
 }
 
 TEST(CsrTest, SpMvMatchesHandComputation) {

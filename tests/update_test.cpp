@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/analysis.h"
 #include "core/solver.h"
 #include "gen/banded.h"
+#include "gen/level_structured.h"
 #include "gen/random_lower.h"
 #include "matrix/triangular.h"
 #include "serve/registry.h"
@@ -233,6 +236,172 @@ TEST(DeltaBatchTest, MakeRandomBatchIsDeterministicAndApplies) {
     ASSERT_TRUE(mutated.ok()) << mutated.status().ToString();
     EXPECT_TRUE(mutated->IsLowerTriangularWithDiagonal());
   }
+}
+
+/// Full shape scan of every row, independent of the shape Csr records.
+bool RescanIsLowerTriangularWithDiagonal(const Csr& m) {
+  if (m.rows() != m.cols()) return false;
+  for (Idx r = 0; r < m.rows(); ++r) {
+    const auto cols = m.RowCols(r);
+    if (cols.empty() || cols.back() != r) return false;
+    for (std::size_t j = 0; j + 1 < cols.size(); ++j) {
+      if (cols[j] >= r) return false;
+    }
+  }
+  return true;
+}
+
+/// Reference rebuild for a legal batch: bucket the deltas by row in a
+/// std::map, replay each touched row into an ordered column -> value map,
+/// then rebuild every row of the arrays.
+Csr ReferenceApply(const Csr& lower, const DeltaBatch& batch) {
+  std::map<Idx, std::map<Idx, Val>> rows;
+  for (const update::Delta& d : batch.deltas()) {
+    auto [it, fresh] = rows.try_emplace(d.row);
+    if (fresh) {
+      const auto cols = lower.RowCols(d.row);
+      const auto vals = lower.RowVals(d.row);
+      for (std::size_t j = 0; j < cols.size(); ++j) {
+        it->second.emplace(cols[j], vals[j]);
+      }
+    }
+    if (d.kind == DeltaKind::kErase) {
+      it->second.erase(d.col);
+    } else {
+      it->second[d.col] = d.value;
+    }
+  }
+  std::vector<Idx> row_ptr = {0};
+  std::vector<Idx> col_idx;
+  std::vector<Val> val;
+  for (Idx i = 0; i < lower.rows(); ++i) {
+    const auto it = rows.find(i);
+    if (it != rows.end()) {
+      for (const auto& [col, v] : it->second) {
+        col_idx.push_back(col);
+        val.push_back(v);
+      }
+    } else {
+      const auto cols = lower.RowCols(i);
+      const auto vals = lower.RowVals(i);
+      col_idx.insert(col_idx.end(), cols.begin(), cols.end());
+      val.insert(val.end(), vals.begin(), vals.end());
+    }
+    row_ptr.push_back(static_cast<Idx>(col_idx.size()));
+  }
+  return Csr(lower.rows(), lower.cols(), std::move(row_ptr),
+             std::move(col_idx), std::move(val));
+}
+
+template <typename T>
+std::vector<T> ToVector(std::span<const T> values) {
+  return {values.begin(), values.end()};
+}
+
+/// Applies `batch` and checks the arrays against ReferenceApply exactly and
+/// the recorded shape against a full rescan. Returns the applied matrix.
+Csr ExpectMatchesReference(const Csr& lower, const DeltaBatch& batch,
+                           const std::string& what) {
+  auto mutated = update::ApplyToMatrix(lower, batch);
+  EXPECT_TRUE(mutated.ok()) << what << ": " << mutated.status().ToString();
+  if (!mutated.ok()) return lower;
+  const Csr want = ReferenceApply(lower, batch);
+  EXPECT_EQ(ToVector(mutated->row_ptr()), ToVector(want.row_ptr())) << what;
+  EXPECT_EQ(ToVector(mutated->col_idx()), ToVector(want.col_idx())) << what;
+  EXPECT_EQ(ToVector(mutated->val()), ToVector(want.val())) << what;
+  EXPECT_EQ(mutated->IsLowerTriangularWithDiagonal(),
+            RescanIsLowerTriangularWithDiagonal(*mutated))
+      << what;
+  return std::move(mutated).value();
+}
+
+TEST(DeltaBatchTest, ApplyToMatrixMatchesReferenceRebuildOnSeededBatches) {
+  const std::vector<std::pair<std::string, Csr>> factors = {
+      {"random", MakeRandomLower({.rows = 300,
+                                  .avg_strict_nnz_per_row = 3.0,
+                                  .window = 0,
+                                  .empty_row_fraction = 0.2,
+                                  .seed = 5})},
+      {"band", MakeBanded({.rows = 300, .bandwidth = 10, .fill = 0.5,
+                           .force_chain = true, .seed = 6})},
+      {"levels", MakeLevelStructured({.num_levels = 12,
+                                      .components_per_level = 25,
+                                      .avg_nnz_per_row = 3.0,
+                                      .size_jitter = 0.3,
+                                      .interleave = true,
+                                      .seed = 7})}};
+  enum class Mix { kValue, kStructural, kMixed };
+  int batches = 0;
+  for (const auto& [name, factor] : factors) {
+    ASSERT_TRUE(factor.IsLowerTriangularWithDiagonal()) << name;
+    for (const Mix mix : {Mix::kValue, Mix::kStructural, Mix::kMixed}) {
+      // Each batch applies to the previous batch's output, so patched
+      // matrices are patched again and the recorded shape is carried along.
+      Csr current = factor;
+      for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+        const int size = 1 + static_cast<int>(seed * 7 % 40);
+        DeltaBatch batch = update::MakeRandomBatch(
+            current, size, /*structural=*/mix != Mix::kValue, seed);
+        if (mix == Mix::kMixed) {
+          // Value updates of positions present after the structural part,
+          // which may include entries that part just inserted.
+          const DeltaBatch values = update::MakeRandomBatch(
+              ReferenceApply(current, batch), size, false, seed + 1000);
+          for (const update::Delta& d : values.deltas()) {
+            batch.UpdateValue(d.row, d.col, d.value);
+          }
+        }
+        current = ExpectMatchesReference(
+            current, batch,
+            name + " mix " + std::to_string(static_cast<int>(mix)) +
+                " seed " + std::to_string(seed));
+        ++batches;
+      }
+    }
+  }
+  EXPECT_GE(batches, 200);
+}
+
+TEST(DeltaBatchTest, ApplyToMatrixMatchesReferenceRebuildOnEdgeRows) {
+  const Csr lower = MakeRandomLower({.rows = 40,
+                                     .avg_strict_nnz_per_row = 3.0,
+                                     .window = 0,
+                                     .empty_row_fraction = 0.0,
+                                     .seed = 8});
+  const Idx last = lower.rows() - 1;
+  ASSERT_GE(lower.RowLen(last), 2);
+
+  DeltaBatch first_and_last;
+  first_and_last.UpdateValue(0, 0, 3.0);
+  first_and_last.UpdateValue(last, last, 4.0);
+  const auto [absent_row, absent_col] = FindAbsentStrictLower(lower, last);
+  ASSERT_EQ(absent_row, last);
+  first_and_last.Insert(last, absent_col, 0.5);
+  first_and_last.Erase(last, lower.RowCols(last)[0]);
+  ExpectMatchesReference(lower, first_and_last, "row 0 and the last row");
+
+  // Several deltas in one row, out of row order in the batch.
+  const auto [row, col] = FindAbsentStrictLower(lower, 20);
+  const auto [erase_row, erase_col] = FindPresentStrictLower(lower, 10);
+  DeltaBatch one_row;
+  one_row.Insert(row, col, 1.0);
+  one_row.Erase(erase_row, erase_col);
+  one_row.UpdateValue(row, col, 2.0);  // insert then update
+  one_row.Insert(erase_row, erase_col, 3.0);  // erase then re-insert
+  one_row.UpdateValue(row, row, 5.0);
+  const Csr replayed = ExpectMatchesReference(lower, one_row, "one row");
+  EXPECT_EQ(replayed.RowLen(erase_row), lower.RowLen(erase_row));
+
+  // Cut a row down to its diagonal.
+  const Idx cut = erase_row;
+  DeltaBatch to_diagonal;
+  const auto cols = lower.RowCols(cut);
+  for (std::size_t j = 0; j + 1 < cols.size(); ++j) {
+    to_diagonal.Erase(cut, cols[j]);
+  }
+  const Csr cut_down = ExpectMatchesReference(lower, to_diagonal, "cut");
+  EXPECT_EQ(cut_down.RowLen(cut), 1);
+  EXPECT_TRUE(cut_down.IsLowerTriangularWithDiagonal());
 }
 
 TEST(IncrementalAnalyzerTest, ValueOnlyReusesAnalysisUntouched) {
