@@ -19,8 +19,8 @@
 //     plus the analytic break-even solve count where the permutation starts
 //     paying for itself.
 //
-// Writes --json=PATH in the same hand-rolled style as the other benches
-// (CI uploads BENCH_analysis.json from the analysis-smoke job).
+// Writes --json=PATH through bench_common.h's WriteJsonReport (CI uploads
+// BENCH_analysis.json from the analysis-smoke job).
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -245,41 +245,36 @@ int Main(int argc, char** argv) {
   std::printf("%s\n", reorder_table.ToString().c_str());
 
   if (!options.json.empty()) {
-    std::FILE* f = std::fopen(options.json.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "FAIL: cannot write %s\n", options.json.c_str());
-      return 1;
+    JsonWriter json;
+    json.BeginObject()
+        .Key("platform").String(config.name)
+        .Key("identity_checks").Int(gate_checks)
+        .Key("registration").BeginArray();
+    for (const CostRow& row : costs) {
+      json.BeginObject()
+          .Key("matrix").String(row.name)
+          .Key("rows").Int(row.rows)
+          .Key("nnz").Int(row.nnz)
+          .Key("levels").Int(row.levels)
+          .Key("cold_ms").Double(row.cold_ms)
+          .Key("warm_ms").Double(row.warm_ms)
+          .Key("device_exec_ms").Double(row.device_exec_ms)
+          .Key("device_host_ms").Double(row.device_host_ms)
+          .EndObject();
     }
-    std::fprintf(f, "{\n  \"platform\": \"%s\",\n", config.name.c_str());
-    std::fprintf(f, "  \"identity_checks\": %d,\n", gate_checks);
-    std::fprintf(f, "  \"registration\": [\n");
-    for (std::size_t i = 0; i < costs.size(); ++i) {
-      const CostRow& row = costs[i];
-      std::fprintf(
-          f,
-          "    {\"matrix\": \"%s\", \"rows\": %lld, \"nnz\": %lld, "
-          "\"levels\": %lld, \"cold_ms\": %.4f, \"warm_ms\": %.4f, "
-          "\"device_exec_ms\": %.4f, \"device_host_ms\": %.4f}%s\n",
-          row.name.c_str(), static_cast<long long>(row.rows),
-          static_cast<long long>(row.nnz), static_cast<long long>(row.levels),
-          row.cold_ms, row.warm_ms, row.device_exec_ms, row.device_host_ms,
-          i + 1 < costs.size() ? "," : "");
+    json.EndArray().Key("reorder").BeginArray();
+    for (const ReorderRow& row : reorders) {
+      json.BeginObject()
+          .Key("matrix").String(row.name)
+          .Key("use_reorder").Bool(row.use_reorder)
+          .Key("direct_ms").Double(row.direct_ms)
+          .Key("analyze_ms").Double(row.analyze_ms)
+          .Key("reordered_solve_ms").Double(row.reordered_solve_ms)
+          .Key("break_even_solves").Double(row.break_even_solves)
+          .EndObject();
     }
-    std::fprintf(f, "  ],\n  \"reorder\": [\n");
-    for (std::size_t i = 0; i < reorders.size(); ++i) {
-      const ReorderRow& row = reorders[i];
-      std::fprintf(
-          f,
-          "    {\"matrix\": \"%s\", \"use_reorder\": %s, "
-          "\"direct_ms\": %.6f, \"analyze_ms\": %.6f, "
-          "\"reordered_solve_ms\": %.6f, \"break_even_solves\": %.2f}%s\n",
-          row.name.c_str(), row.use_reorder ? "true" : "false", row.direct_ms,
-          row.analyze_ms, row.reordered_solve_ms, row.break_even_solves,
-          i + 1 < reorders.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("JSON written to %s\n", options.json.c_str());
+    json.EndArray().EndObject();
+    if (!WriteJsonReport(options.json, json)) return 1;
   }
   std::filesystem::remove_all(cache_dir);
   return 0;

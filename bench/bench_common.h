@@ -26,6 +26,7 @@
 #include "gen/proxies.h"
 #include "sim/config.h"
 #include "support/cli.h"
+#include "support/json.h"
 #include "support/table.h"
 
 namespace capellini::bench {
@@ -65,6 +66,17 @@ inline BenchOptions ParseBenchFlags(int argc, char** argv,
     std::exit(status.code() == StatusCode::kNotFound ? 0 : 2);
   }
   return options;
+}
+
+/// Writes a bench's --json report; false (after saying why) if that fails.
+inline bool WriteJsonReport(const std::string& path,
+                            const JsonWriter& json) {
+  if (const Status status = WriteFile(path, json.str()); !status.ok()) {
+    std::fprintf(stderr, "FAIL: %s\n", status.ToString().c_str());
+    return false;
+  }
+  std::printf("JSON written to %s\n", path.c_str());
+  return true;
 }
 
 inline CorpusOptions ToCorpusOptions(const BenchOptions& options) {

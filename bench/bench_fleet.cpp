@@ -252,77 +252,61 @@ int Run(int argc, char** argv) {
 
   // --- JSON ---------------------------------------------------------------
   if (!options.json.empty()) {
-    std::FILE* file = std::fopen(options.json.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", options.json.c_str());
-      return 1;
-    }
-    std::fprintf(file, "{\n  \"bench\": \"fleet\",\n");
-    std::fprintf(file,
-                 "  \"identity\": {\"solver_checksum\": \"%016llx\", "
-                 "\"fleet_k1_checksum\": \"%016llx\", \"match\": true},\n",
-                 static_cast<unsigned long long>(solo_checksum),
-                 static_cast<unsigned long long>(points[0].checksum));
-    std::fprintf(file, "  \"fleet\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const FleetPoint& point = points[i];
-      std::fprintf(file,
-                   "    {\"devices\": %d, \"makespan_cycles\": %llu, "
-                   "\"exec_ms\": %.6f, \"cross_edges\": %lld, "
-                   "\"messages\": %llu, \"comm_bytes\": %llu, "
-                   "\"critical_device\": %d, \"thread_invariant\": %s, "
-                   "\"per_device\": [",
-                   point.devices,
-                   static_cast<unsigned long long>(
-                       point.stats.makespan_cycles),
-                   point.stats.exec_ms,
-                   static_cast<long long>(point.stats.cross_edges),
-                   static_cast<unsigned long long>(
-                       point.stats.total_messages),
-                   static_cast<unsigned long long>(
-                       point.stats.total_comm_bytes),
-                   point.stats.critical_device,
-                   point.thread_invariant ? "true" : "false");
+    JsonWriter json;
+    json.BeginObject()
+        .Key("bench").String("fleet")
+        .Key("identity").BeginObject()
+        .Key("solver_checksum").Hex(solo_checksum)
+        .Key("fleet_k1_checksum").Hex(points[0].checksum)
+        .Key("match").Bool(true)
+        .EndObject()
+        .Key("fleet").BeginArray();
+    for (const FleetPoint& point : points) {
+      json.BeginObject()
+          .Key("devices").Int(point.devices)
+          .Key("makespan_cycles").Int(point.stats.makespan_cycles)
+          .Key("exec_ms").Double(point.stats.exec_ms)
+          .Key("cross_edges").Int(point.stats.cross_edges)
+          .Key("messages").Int(point.stats.total_messages)
+          .Key("comm_bytes").Int(point.stats.total_comm_bytes)
+          .Key("critical_device").Int(point.stats.critical_device)
+          .Key("thread_invariant").Bool(point.thread_invariant)
+          .Key("per_device").BeginArray();
       for (std::size_t d = 0; d < point.stats.devices.size(); ++d) {
         const fleet::DeviceStats& ds = point.stats.devices[d];
         // host_ns_per_sim_cycle: interpreter wall-clock speed for THIS
         // device's launch (host_ms is measured, never deterministic; it is
         // excluded from the identity/thread-invariance checksums).
-        std::fprintf(file,
-                     "%s{\"device\": %zu, \"row_begin\": %lld, "
-                     "\"row_end\": %lld, \"cycles\": %llu, "
-                     "\"in_messages\": %llu, \"out_messages\": %llu, "
-                     "\"comm_bytes_in\": %llu, \"comm_delay_cycles\": %llu, "
-                     "\"host_ms\": %.3f, \"host_ns_per_sim_cycle\": %.4f}",
-                     d == 0 ? "" : ", ", d,
-                     static_cast<long long>(ds.row_begin),
-                     static_cast<long long>(ds.row_end),
-                     static_cast<unsigned long long>(ds.cycles),
-                     static_cast<unsigned long long>(ds.in_messages),
-                     static_cast<unsigned long long>(ds.out_messages),
-                     static_cast<unsigned long long>(ds.comm_bytes_in),
-                     static_cast<unsigned long long>(ds.comm_delay_cycles),
-                     ds.host_ms,
-                     ds.cycles > 0
-                         ? ds.host_ms * 1e6 / static_cast<double>(ds.cycles)
-                         : 0.0);
+        json.BeginObject()
+            .Key("device").Int(d)
+            .Key("row_begin").Int(ds.row_begin)
+            .Key("row_end").Int(ds.row_end)
+            .Key("cycles").Int(ds.cycles)
+            .Key("in_messages").Int(ds.in_messages)
+            .Key("out_messages").Int(ds.out_messages)
+            .Key("comm_bytes_in").Int(ds.comm_bytes_in)
+            .Key("comm_delay_cycles").Int(ds.comm_delay_cycles)
+            .Key("host_ms").Double(ds.host_ms)
+            .Key("host_ns_per_sim_cycle")
+            .Double(ds.cycles > 0
+                        ? ds.host_ms * 1e6 / static_cast<double>(ds.cycles)
+                        : 0.0)
+            .EndObject();
       }
-      std::fprintf(file, "]}%s\n", i + 1 < points.size() ? "," : "");
+      json.EndArray().EndObject();
     }
-    std::fprintf(file, "  ],\n  \"serve\": [\n");
-    for (std::size_t i = 0; i < serve_points.size(); ++i) {
-      const ServePoint& point = serve_points[i];
-      std::fprintf(file,
-                   "    {\"devices\": %d, \"completed\": %zu, "
-                   "\"max_device_busy_ms\": %.6f, \"throughput_rps\": %.3f, "
-                   "\"speedup\": %.4f}%s\n",
-                   point.devices, point.completed, point.max_device_busy_ms,
-                   point.throughput_rps, point.speedup,
-                   i + 1 < serve_points.size() ? "," : "");
+    json.EndArray().Key("serve").BeginArray();
+    for (const ServePoint& point : serve_points) {
+      json.BeginObject()
+          .Key("devices").Int(point.devices)
+          .Key("completed").Int(point.completed)
+          .Key("max_device_busy_ms").Double(point.max_device_busy_ms)
+          .Key("throughput_rps").Double(point.throughput_rps)
+          .Key("speedup").Double(point.speedup)
+          .EndObject();
     }
-    std::fprintf(file, "  ]\n}\n");
-    std::fclose(file);
-    std::printf("wrote %s\n", options.json.c_str());
+    json.EndArray().EndObject();
+    if (!WriteJsonReport(options.json, json)) return 1;
   }
   return 0;
 }

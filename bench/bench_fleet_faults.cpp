@@ -445,15 +445,11 @@ int main(int argc, char** argv) {
               "accounting -> PASS\n");
 
   if (!options.json.empty()) {
-    std::FILE* file = std::fopen(options.json.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", options.json.c_str());
-      return 1;
-    }
-    std::fprintf(file, "{\n  \"bench\": \"fleet_faults\",\n");
-    std::fprintf(file, "  \"recovery\": [\n");
-    for (std::size_t i = 0; i < sweeps.size(); ++i) {
-      const SweepCase& sweep = sweeps[i];
+    JsonWriter json;
+    json.BeginObject()
+        .Key("bench").String("fleet_faults")
+        .Key("recovery").BeginArray();
+    for (const SweepCase& sweep : sweeps) {
       std::uint64_t device_rungs = 0;
       std::uint64_t host_rungs = 0;
       std::uint64_t reexecuted = 0;
@@ -462,52 +458,43 @@ int main(int argc, char** argv) {
         host_rungs += kill.host_rungs;
         reexecuted += kill.rows_reexecuted;
       }
-      std::fprintf(file,
-                   "    {\"devices\": %d, \"strategy\": \"%s\", "
-                   "\"algorithm\": \"%s\", \"kills\": %zu, "
-                   "\"device_rung_recoveries\": %llu, "
-                   "\"host_rung_recoveries\": %llu, "
-                   "\"rows_reexecuted\": %llu, "
-                   "\"zero_fault_identical\": %s}%s\n",
-                   sweep.devices,
-                   fleet::PartitionStrategyName(sweep.strategy),
-                   kernels::DeviceAlgorithmName(sweep.algorithm),
-                   sweep.kills.size(),
-                   static_cast<unsigned long long>(device_rungs),
-                   static_cast<unsigned long long>(host_rungs),
-                   static_cast<unsigned long long>(reexecuted),
-                   sweep.zero_fault_identical ? "true" : "false",
-                   i + 1 < sweeps.size() ? "," : "");
+      json.BeginObject()
+          .Key("devices").Int(sweep.devices)
+          .Key("strategy").String(fleet::PartitionStrategyName(sweep.strategy))
+          .Key("algorithm")
+          .String(kernels::DeviceAlgorithmName(sweep.algorithm))
+          .Key("kills").Int(sweep.kills.size())
+          .Key("device_rung_recoveries").Int(device_rungs)
+          .Key("host_rung_recoveries").Int(host_rungs)
+          .Key("rows_reexecuted").Int(reexecuted)
+          .Key("zero_fault_identical").Bool(sweep.zero_fault_identical)
+          .EndObject();
     }
-    std::fprintf(file, "  ],\n  \"degraded\": [\n");
-    for (std::size_t i = 0; i < degraded.size(); ++i) {
-      const DegradedPoint& point = degraded[i];
+    json.EndArray().Key("degraded").BeginArray();
+    for (const DegradedPoint& point : degraded) {
       const fleet::HealthSnapshot& health = point.run.health.health;
-      std::fprintf(file,
-                   "    {\"devices\": %d, \"submitted\": %llu, \"ok\": %llu, "
-                   "\"failures\": %llu, \"failover_submits\": %llu, "
-                   "\"failover_registrations\": %llu, \"quarantines\": %llu, "
-                   "\"probes\": %llu, \"probe_failures\": %llu, "
-                   "\"probe_aborts\": %llu, \"deterministic\": %s}%s\n",
-                   point.devices,
-                   static_cast<unsigned long long>(point.run.submitted),
-                   static_cast<unsigned long long>(point.run.ok),
-                   static_cast<unsigned long long>(point.run.failures),
-                   static_cast<unsigned long long>(
-                       point.run.health.failover_submits),
-                   static_cast<unsigned long long>(
-                       point.run.health.failover_registrations),
-                   static_cast<unsigned long long>(health.quarantines),
-                   static_cast<unsigned long long>(health.probes),
-                   static_cast<unsigned long long>(health.probe_failures),
-                   static_cast<unsigned long long>(health.probe_aborts),
-                   point.deterministic ? "true" : "false",
-                   i + 1 < degraded.size() ? "," : "");
+      json.BeginObject()
+          .Key("devices").Int(point.devices)
+          .Key("submitted").Int(point.run.submitted)
+          .Key("ok").Int(point.run.ok)
+          .Key("failures").Int(point.run.failures)
+          .Key("failover_submits").Int(point.run.health.failover_submits)
+          .Key("failover_registrations")
+          .Int(point.run.health.failover_registrations)
+          .Key("quarantines").Int(health.quarantines)
+          .Key("probes").Int(health.probes)
+          .Key("probe_failures").Int(health.probe_failures)
+          .Key("probe_aborts").Int(health.probe_aborts)
+          .Key("deterministic").Bool(point.deterministic)
+          .EndObject();
     }
-    std::fprintf(file, "  ],\n  \"gates\": {\"recovery\": true, "
-                 "\"degraded\": true}\n}\n");
-    std::fclose(file);
-    std::printf("wrote %s\n", options.json.c_str());
+    json.EndArray()
+        .Key("gates").BeginObject()
+        .Key("recovery").Bool(true)
+        .Key("degraded").Bool(true)
+        .EndObject()
+        .EndObject();
+    if (!WriteJsonReport(options.json, json)) return 1;
   }
   return 0;
 }

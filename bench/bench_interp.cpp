@@ -9,13 +9,14 @@
 // that land silently while tests stay green. The simulated schedule itself
 // is pinned by tests/golden_schedule_test.cpp, not here.
 //
-// Writes --json=PATH in the same hand-rolled style as the other benches.
+// Writes --json=PATH through bench_common.h's WriteJsonReport.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/solver.h"
 #include "gen/banded.h"
 #include "gen/random_lower.h"
@@ -66,30 +67,18 @@ Measurement Measure(const Workload& workload, const std::vector<Val>& b,
   return m;
 }
 
-/// Minimal scanner for the committed baseline: finds
-/// "host_ns_per_sim_cycle": <number> (same no-dependency idiom as
-/// serve/replay and sim/fault JSON readers).
+/// The committed baseline's top-level "host_ns_per_sim_cycle".
 double ReadBaselineNsPerCycle(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FAIL: cannot open baseline %s\n", path.c_str());
+  auto doc = ReadJsonFile(path);
+  const JsonValue* value =
+      doc.ok() ? doc->Find("host_ns_per_sim_cycle") : nullptr;
+  double ns_per_cycle = 0.0;
+  if (value == nullptr || !value->Get(ns_per_cycle)) {
+    std::fprintf(stderr, "FAIL: no host_ns_per_sim_cycle number in %s (%s)\n",
+                 path.c_str(), doc.status().ToString().c_str());
     std::exit(1);
   }
-  std::string text;
-  char buffer[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(f);
-  const std::string key = "\"host_ns_per_sim_cycle\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "FAIL: no host_ns_per_sim_cycle in %s\n",
-                 path.c_str());
-    std::exit(1);
-  }
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
+  return ns_per_cycle;
 }
 
 int Main(int argc, char** argv) {
@@ -136,7 +125,7 @@ int Main(int argc, char** argv) {
   TextTable table({"workload", "cycles", "ms", "ns/cyc"});
   double total_ms = 0.0;
   std::uint64_t total_cycles = 0;
-  std::vector<std::string> json_rows;
+  JsonWriter json_rows;  // one object per workload
   for (const Workload& workload : workloads) {
     const ReferenceProblem problem =
         MakeReferenceProblem(workload.lower, 23);
@@ -151,14 +140,12 @@ int Main(int argc, char** argv) {
                   TextTable::Int(static_cast<long long>(m.cycles)),
                   TextTable::Num(m.best_ms, 1),
                   TextTable::Num(ns_per_cycle, 1)});
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "    {\"workload\": \"%s\", \"cycles\": %llu, "
-                  "\"ms\": %.3f, \"host_ns_per_sim_cycle\": %.4f}",
-                  workload.name.c_str(),
-                  static_cast<unsigned long long>(m.cycles), m.best_ms,
-                  ns_per_cycle);
-    json_rows.push_back(row);
+    json_rows.BeginObject()
+        .Key("workload").String(workload.name)
+        .Key("cycles").Int(m.cycles)
+        .Key("ms").Double(m.best_ms)
+        .Key("host_ns_per_sim_cycle").Double(ns_per_cycle)
+        .EndObject();
   }
 
   const double ns_per_cycle =
@@ -168,20 +155,12 @@ int Main(int argc, char** argv) {
   std::printf("\naggregate host_ns_per_sim_cycle %.2f\n", ns_per_cycle);
 
   if (!json.empty()) {
-    std::FILE* f = std::fopen(json.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "FAIL: cannot write %s\n", json.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"host_ns_per_sim_cycle\": %.4f,\n", ns_per_cycle);
-    std::fprintf(f, "  \"workloads\": [\n");
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      std::fprintf(f, "%s%s\n", json_rows[i].c_str(),
-                   i + 1 < json_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("JSON written to %s\n", json.c_str());
+    JsonWriter report;
+    report.BeginObject()
+        .Key("host_ns_per_sim_cycle").Double(ns_per_cycle)
+        .Key("workloads").BeginArray().Splice(json_rows).EndArray()
+        .EndObject();
+    if (!WriteJsonReport(json, report)) return 1;
   }
 
   if (!baseline.empty()) {

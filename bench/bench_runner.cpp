@@ -9,7 +9,6 @@
 //   bench_runner --threads=8 --json=BENCH_sweep.json
 //   bench_runner --full --platform=Pascal
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -87,58 +86,6 @@ struct PlatformSweep {
   std::uint64_t checksum_parallel = 0;
   std::vector<std::pair<std::string, double>> algorithm_gflops;
 };
-
-void WriteJson(const std::string& path, int threads, bool full,
-               const std::vector<PlatformSweep>& sweeps) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::fprintf(file, "{\n  \"tier\": \"%s\",\n  \"threads\": %d,\n",
-               full ? "full" : "quick", threads);
-  std::fprintf(file, "  \"platforms\": [\n");
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const PlatformSweep& sweep = sweeps[i];
-    const double parallel_s = sweep.parallel_wall_ms / 1000.0;
-    std::fprintf(file, "    {\n");
-    std::fprintf(file, "      \"platform\": \"%s\",\n", sweep.platform.c_str());
-    std::fprintf(file, "      \"runs\": %zu,\n", sweep.runs);
-    std::fprintf(file, "      \"serial_wall_ms\": %.3f,\n",
-                 sweep.serial_wall_ms);
-    std::fprintf(file, "      \"parallel_wall_ms\": %.3f,\n",
-                 sweep.parallel_wall_ms);
-    std::fprintf(file, "      \"speedup\": %.3f,\n",
-                 sweep.parallel_wall_ms > 0.0
-                     ? sweep.serial_wall_ms / sweep.parallel_wall_ms
-                     : 0.0);
-    std::fprintf(file, "      \"runs_per_sec\": %.3f,\n",
-                 parallel_s > 0.0 ? static_cast<double>(sweep.runs) / parallel_s
-                                  : 0.0);
-    std::fprintf(file, "      \"total_simulated_cycles\": %" PRIu64 ",\n",
-                 sweep.total_cycles);
-    std::fprintf(file, "      \"host_ns_per_sim_cycle\": %.4f,\n",
-                 sweep.host_ns_per_sim_cycle);
-    std::fprintf(file, "      \"checksum_serial\": \"%016" PRIx64 "\",\n",
-                 sweep.checksum_serial);
-    std::fprintf(file, "      \"checksum_parallel\": \"%016" PRIx64 "\",\n",
-                 sweep.checksum_parallel);
-    std::fprintf(file, "      \"checksums_match\": %s,\n",
-                 sweep.checksum_serial == sweep.checksum_parallel ? "true"
-                                                                  : "false");
-    std::fprintf(file, "      \"algorithms\": [\n");
-    for (std::size_t k = 0; k < sweep.algorithm_gflops.size(); ++k) {
-      std::fprintf(file, "        {\"name\": \"%s\", \"mean_gflops\": %.4f}%s\n",
-                   sweep.algorithm_gflops[k].first.c_str(),
-                   sweep.algorithm_gflops[k].second,
-                   k + 1 < sweep.algorithm_gflops.size() ? "," : "");
-    }
-    std::fprintf(file, "      ]\n");
-    std::fprintf(file, "    }%s\n", i + 1 < sweeps.size() ? "," : "");
-  }
-  std::fprintf(file, "  ]\n}\n");
-  std::fclose(file);
-}
 
 int Main(int argc, char** argv) {
   BenchOptions options = ParseBenchFlags(argc, argv);
@@ -231,8 +178,43 @@ int Main(int argc, char** argv) {
   std::printf("%s", gflops_table.ToString().c_str());
 
   if (!options.json.empty()) {
-    WriteJson(options.json, threads, options.full, sweeps);
-    std::printf("\nJSON written to %s\n", options.json.c_str());
+    JsonWriter json;
+    json.BeginObject()
+        .Key("tier").String(options.full ? "full" : "quick")
+        .Key("threads").Int(threads)
+        .Key("platforms").BeginArray();
+    for (const PlatformSweep& sweep : sweeps) {
+      const double parallel_s = sweep.parallel_wall_ms / 1000.0;
+      json.BeginObject()
+          .Key("platform").String(sweep.platform)
+          .Key("runs").Int(sweep.runs)
+          .Key("serial_wall_ms").Double(sweep.serial_wall_ms)
+          .Key("parallel_wall_ms").Double(sweep.parallel_wall_ms)
+          .Key("speedup")
+          .Double(sweep.parallel_wall_ms > 0.0
+                      ? sweep.serial_wall_ms / sweep.parallel_wall_ms
+                      : 0.0)
+          .Key("runs_per_sec")
+          .Double(parallel_s > 0.0
+                      ? static_cast<double>(sweep.runs) / parallel_s
+                      : 0.0)
+          .Key("total_simulated_cycles").Int(sweep.total_cycles)
+          .Key("host_ns_per_sim_cycle").Double(sweep.host_ns_per_sim_cycle)
+          .Key("checksum_serial").Hex(sweep.checksum_serial)
+          .Key("checksum_parallel").Hex(sweep.checksum_parallel)
+          .Key("checksums_match")
+          .Bool(sweep.checksum_serial == sweep.checksum_parallel)
+          .Key("algorithms").BeginArray();
+      for (const auto& [name, gflops] : sweep.algorithm_gflops) {
+        json.BeginObject()
+            .Key("name").String(name)
+            .Key("mean_gflops").Double(gflops)
+            .EndObject();
+      }
+      json.EndArray().EndObject();
+    }
+    json.EndArray().EndObject();
+    if (!WriteJsonReport(options.json, json)) return 2;
   }
   if (diverged) {
     std::fprintf(stderr,

@@ -485,36 +485,31 @@ int Run(int argc, char** argv) {
               sched_gate_pass ? "PASS" : "FAIL");
 
   if (!sched_json.empty()) {
-    std::FILE* file = std::fopen(sched_json.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", sched_json.c_str());
-      return 1;
+    JsonWriter json;
+    json.BeginObject()
+        .Key("bench").String("serve_sched")
+        .Key("requests").Int(trace.requests.size())
+        .Key("capacity_requests_per_sec").Double(capacity_rps)
+        .Key("mean_service_ms").Double(mean_service_ms)
+        .Key("cost_budget_ms").Double(cost_budget_ms)
+        .Key("gate_pass").Bool(sched_gate_pass)
+        .Key("points").BeginArray();
+    for (const OverloadPoint& p : overload_points) {
+      json.BeginObject()
+          .Key("load_factor").Double(p.load_factor)
+          .Key("policy").String(PolicyName(p.policy))
+          .Key("submitted").Int(p.submitted)
+          .Key("rejected").Int(p.rejected)
+          .Key("expired").Int(p.expired)
+          .Key("completed").Int(p.completed)
+          .Key("miss_rate").Double(p.miss_rate)
+          .Key("goodput_requests_per_sec").Double(p.goodput_rps)
+          .Key("reorders").Int(p.reorders)
+          .Key("cost_error_ratio").Double(p.cost_error)
+          .EndObject();
     }
-    std::fprintf(file, "{\n  \"bench\": \"serve_sched\",\n");
-    std::fprintf(file, "  \"requests\": %zu,\n", trace.requests.size());
-    std::fprintf(file, "  \"capacity_requests_per_sec\": %.3f,\n",
-                 capacity_rps);
-    std::fprintf(file, "  \"mean_service_ms\": %.4f,\n", mean_service_ms);
-    std::fprintf(file, "  \"cost_budget_ms\": %.4f,\n", cost_budget_ms);
-    std::fprintf(file, "  \"gate_pass\": %s,\n",
-                 sched_gate_pass ? "true" : "false");
-    std::fprintf(file, "  \"points\": [\n");
-    for (std::size_t i = 0; i < overload_points.size(); ++i) {
-      const OverloadPoint& p = overload_points[i];
-      std::fprintf(file,
-                   "    {\"load_factor\": %.2f, \"policy\": \"%s\", "
-                   "\"submitted\": %zu, \"rejected\": %zu, \"expired\": %zu, "
-                   "\"completed\": %zu, \"miss_rate\": %.4f, "
-                   "\"goodput_requests_per_sec\": %.3f, \"reorders\": %llu, "
-                   "\"cost_error_ratio\": %.4f}%s\n",
-                   p.load_factor, PolicyName(p.policy), p.submitted,
-                   p.rejected, p.expired, p.completed, p.miss_rate,
-                   p.goodput_rps, static_cast<unsigned long long>(p.reorders),
-                   p.cost_error, i + 1 < overload_points.size() ? "," : "");
-    }
-    std::fprintf(file, "  ]\n}\n");
-    std::fclose(file);
-    std::printf("scheduling JSON written to %s\n", sched_json.c_str());
+    json.EndArray().EndObject();
+    if (!WriteJsonReport(sched_json, json)) return 1;
   }
   if (!sched_gate_pass) {
     std::fprintf(stderr,
@@ -524,36 +519,30 @@ int Run(int argc, char** argv) {
   }
 
   if (!options.json.empty()) {
-    std::FILE* file = std::fopen(options.json.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", options.json.c_str());
-      return 1;
+    JsonWriter json;
+    json.BeginObject()
+        .Key("bench").String("serve")
+        .Key("requests").Int(trace.requests.size())
+        .Key("matrices").Int(corpus.size())
+        .Key("one_shot_requests_per_sec").Double(baseline.requests_per_sec)
+        .Key("determinism").BeginObject()
+        .Key("one_shot_checksum").Hex(baseline.checksum)
+        .Key("served_checksum").Hex(serve_checksum)
+        .Key("match").Bool(deterministic)
+        .EndObject()
+        .Key("best_batched_speedup").Double(best_batched)
+        .Key("sweep").BeginArray();
+    for (const SweepPoint& p : points) {
+      json.BeginObject()
+          .Key("max_batch").Int(p.max_batch)
+          .Key("workers").Int(p.workers)
+          .Key("requests_per_sec").Double(p.requests_per_sec)
+          .Key("speedup").Double(p.speedup)
+          .Key("mean_launch_width").Double(p.mean_batch)
+          .EndObject();
     }
-    std::fprintf(file, "{\n  \"bench\": \"serve\",\n");
-    std::fprintf(file, "  \"requests\": %zu,\n", trace.requests.size());
-    std::fprintf(file, "  \"matrices\": %zu,\n", corpus.size());
-    std::fprintf(file, "  \"one_shot_requests_per_sec\": %.3f,\n",
-                 baseline.requests_per_sec);
-    std::fprintf(file,
-                 "  \"determinism\": {\"one_shot_checksum\": \"%016llx\", "
-                 "\"served_checksum\": \"%016llx\", \"match\": %s},\n",
-                 static_cast<unsigned long long>(baseline.checksum),
-                 static_cast<unsigned long long>(serve_checksum),
-                 deterministic ? "true" : "false");
-    std::fprintf(file, "  \"best_batched_speedup\": %.3f,\n", best_batched);
-    std::fprintf(file, "  \"sweep\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const SweepPoint& p = points[i];
-      std::fprintf(file,
-                   "    {\"max_batch\": %d, \"workers\": %d, "
-                   "\"requests_per_sec\": %.3f, \"speedup\": %.3f, "
-                   "\"mean_launch_width\": %.3f}%s\n",
-                   p.max_batch, p.workers, p.requests_per_sec, p.speedup,
-                   p.mean_batch, i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(file, "  ]\n}\n");
-    std::fclose(file);
-    std::printf("JSON written to %s\n", options.json.c_str());
+    json.EndArray().EndObject();
+    if (!WriteJsonReport(options.json, json)) return 1;
   }
   return 0;
 }

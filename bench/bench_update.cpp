@@ -18,14 +18,15 @@
 //     must land on their admission epoch. Reports throughput and the
 //     amortized per-update re-analysis cost.
 //
-// Writes --json=PATH in the same hand-rolled style as the other benches
-// (CI uploads BENCH_update.json from the update-smoke job).
+// Writes --json=PATH through bench_common.h's WriteJsonReport (CI uploads
+// BENCH_update.json from the update-smoke job).
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/analysis.h"
 #include "core/solver.h"
 #include "gen/banded.h"
@@ -469,41 +470,34 @@ int Main(int argc, char** argv) {
   std::printf("all solutions verified at every update rate\n");
 
   if (!json.empty()) {
-    std::FILE* f = std::fopen(json.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "FAIL: cannot write %s\n", json.c_str());
-      return 1;
+    JsonWriter report;
+    report.BeginObject()
+        .Key("bit_identity_cells").Int(gate_cells)
+        .Key("incremental_wins").BeginArray();
+    for (const WinRow& row : wins) {
+      report.BeginObject()
+          .Key("workload").String(row.workload)
+          .Key("kind").String(row.kind)
+          .Key("full_reanalysis_ms").Double(row.full_ms)
+          .Key("update_ms").Double(row.update_ms)
+          .Key("rows_releveled").Int(row.rows_releveled)
+          .Key("total_rows").Int(row.total_rows)
+          .EndObject();
     }
-    std::fprintf(f, "{\n  \"bit_identity_cells\": %d,\n", gate_cells);
-    std::fprintf(f, "  \"incremental_wins\": [\n");
-    for (std::size_t i = 0; i < wins.size(); ++i) {
-      const WinRow& row = wins[i];
-      std::fprintf(
-          f,
-          "    {\"workload\": \"%s\", \"kind\": \"%s\", "
-          "\"full_reanalysis_ms\": %.4f, \"update_ms\": %.4f, "
-          "\"rows_releveled\": %lld, \"total_rows\": %lld}%s\n",
-          row.workload.c_str(), row.kind.c_str(), row.full_ms,
-          row.update_ms, static_cast<long long>(row.rows_releveled),
-          static_cast<long long>(row.total_rows),
-          i + 1 < wins.size() ? "," : "");
+    report.EndArray().Key("sweep").BeginArray();
+    for (const SweepRow& row : sweep) {
+      report.BeginObject()
+          .Key("update_rate").Double(row.update_rate)
+          .Key("solves").Int(row.solves)
+          .Key("updates").Int(row.updates)
+          .Key("rows_releveled").Int(row.rows_releveled)
+          .Key("requests_per_sec").Double(row.requests_per_sec)
+          .Key("amortized_update_ms").Double(row.amortized_update_ms)
+          .Key("wall_ms").Double(row.wall_ms)
+          .EndObject();
     }
-    std::fprintf(f, "  ],\n  \"sweep\": [\n");
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const SweepRow& row = sweep[i];
-      std::fprintf(f,
-                   "    {\"update_rate\": %.2f, \"solves\": %zu, "
-                   "\"updates\": %zu, \"rows_releveled\": %llu, "
-                   "\"requests_per_sec\": %.2f, "
-                   "\"amortized_update_ms\": %.4f, \"wall_ms\": %.2f}%s\n",
-                   row.update_rate, row.solves, row.updates,
-                   static_cast<unsigned long long>(row.rows_releveled),
-                   row.requests_per_sec, row.amortized_update_ms, row.wall_ms,
-                   i + 1 < sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("JSON written to %s\n", json.c_str());
+    report.EndArray().EndObject();
+    if (!WriteJsonReport(json, report)) return 1;
   }
   return 0;
 }

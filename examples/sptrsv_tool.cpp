@@ -110,10 +110,10 @@ int ListAlgorithms() {
 }
 
 /// --serve_replay / --update_trace: replay `path` (generated and written
-/// first if missing) through a MatrixRegistry + SolveService over a small
-/// generated corpus. `with_updates` makes a generated trace carry interleaved
-/// update events (streaming factors); a read trace replays whatever mix it
-/// holds either way.
+/// first only if no such file exists) through a MatrixRegistry +
+/// SolveService over a small generated corpus. `with_updates` makes a
+/// generated trace carry interleaved update events (streaming factors); a
+/// read trace replays whatever mix it holds either way.
 int ServeReplay(const std::string& path, const capellini::SolverOptions& options,
                 bool with_updates, const std::string& analysis_cache_dir) {
   using namespace capellini;
@@ -125,10 +125,15 @@ int ServeReplay(const std::string& path, const capellini::SolverOptions& options
 
   RequestTrace trace;
   auto read = ReadTraceJson(path);
-  if (read.ok() && !read->requests.empty()) {
+  if (read.ok()) {
     trace = std::move(*read);
     std::printf("replaying %zu requests from %s\n", trace.requests.size(),
                 path.c_str());
+  } else if (read.status().code() != StatusCode::kNotFound) {
+    // An existing file is the user's: report it, never overwrite it.
+    std::fprintf(stderr, "cannot replay: %s\n",
+                 read.status().ToString().c_str());
+    return 1;
   } else {
     trace = GenerateZipfTrace(96, static_cast<int>(corpus.size()), 1.1, 0x51ab);
     if (with_updates) {
@@ -140,7 +145,7 @@ int ServeReplay(const std::string& path, const capellini::SolverOptions& options
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("no readable trace at %s — generated a zipf trace "
+    std::printf("no trace at %s — generated a zipf trace "
                 "(%zu events%s) and wrote it there\n",
                 path.c_str(), trace.requests.size(),
                 with_updates ? ", updates interleaved" : "");
@@ -495,6 +500,10 @@ int main(int argc, char** argv) {
     auto read_plan = sim::ReadFaultPlanJson(faults_path);
     if (read_plan.ok()) {
       fault_plan = *read_plan;
+    } else if (read_plan.status().code() != StatusCode::kNotFound) {
+      std::fprintf(stderr, "cannot use fault plan: %s\n",
+                   read_plan.status().ToString().c_str());
+      return 1;
     } else {
       // A runnable starting point: ~2 expected dropped publishes per solve.
       fault_plan.seed = 7;
@@ -506,7 +515,7 @@ int main(int argc, char** argv) {
                      status.ToString().c_str());
         return 1;
       }
-      std::printf("no readable fault plan at %s — wrote a sample plan there\n",
+      std::printf("no fault plan at %s — wrote a sample plan there\n",
                   faults_path.c_str());
     }
     have_fault_plan = true;

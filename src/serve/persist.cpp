@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <span>
 
+#include "support/json.h"
+
 namespace capellini::serve {
 namespace {
 
@@ -20,10 +22,8 @@ void FnvMix(std::uint64_t& hash, const void* data, std::size_t bytes) {
   }
 }
 
-void Append(std::vector<unsigned char>& buf, const void* data,
-            std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  buf.insert(buf.end(), p, p + bytes);
+void Append(std::string& buf, const void* data, std::size_t bytes) {
+  buf.append(static_cast<const char*>(data), bytes);
 }
 
 }  // namespace
@@ -62,7 +62,7 @@ Status AnalysisCache::Store(const std::string& name, const Csr& lower,
                    "': " + ec.message());
   }
 
-  std::vector<unsigned char> buf;
+  std::string buf;
   const std::uint64_t fingerprint = StructureFingerprint(lower);
   const std::int64_t rows = lower.rows();
   Append(buf, kMagic, sizeof(kMagic));
@@ -76,15 +76,9 @@ Status AnalysisCache::Store(const std::string& name, const Csr& lower,
 
   const std::string path = PathFor(name);
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return IoError("cannot open '" + tmp + "' for writing");
-  }
-  const std::size_t written = std::fwrite(buf.data(), 1, buf.size(), f);
-  const bool closed_ok = std::fclose(f) == 0;
-  if (written != buf.size() || !closed_ok) {
+  if (Status written = WriteFile(tmp, buf); !written.ok()) {
     std::remove(tmp.c_str());
-    return IoError("short write to '" + tmp + "'");
+    return written;
   }
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
@@ -98,17 +92,9 @@ Status AnalysisCache::Store(const std::string& name, const Csr& lower,
 Expected<PersistedAnalysis> AnalysisCache::Load(const std::string& name,
                                                 const Csr& lower) const {
   const std::string path = PathFor(name);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return NotFound("no analysis cache file at '" + path + "'");
-  }
-  std::vector<unsigned char> buf;
-  unsigned char chunk[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    buf.insert(buf.end(), chunk, chunk + got);
-  }
-  std::fclose(f);
+  auto file = ReadFile(path);
+  if (!file.ok()) return file.status();  // kNotFound: no cache file yet
+  const std::string& buf = *file;
 
   constexpr std::size_t kHeaderBytes =
       sizeof(kMagic) + sizeof(std::uint64_t) + sizeof(std::int64_t) +

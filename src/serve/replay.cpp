@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "matrix/triangular.h"
+#include "support/json.h"
 #include "support/rng.h"
 #include "update/delta.h"
 
@@ -108,112 +108,55 @@ void InterleaveUpdates(RequestTrace& trace, double update_fraction,
 }
 
 Status WriteTraceJson(const RequestTrace& trace, const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return IoError("cannot write " + path);
-  std::fprintf(file, "{\"requests\": [\n");
-  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
-    const TraceRequest& r = trace.requests[i];
-    const char* tail = i + 1 < trace.requests.size() ? "," : "";
+  JsonWriter json;
+  json.BeginObject().Key("requests").BeginArray();
+  for (const TraceRequest& r : trace.requests) {
+    json.BeginObject().Key("matrix").Int(r.matrix).Key("seed").Int(r.seed);
     if (r.kind == TraceEventKind::kUpdate) {
-      std::fprintf(file,
-                   "  {\"matrix\": %d, \"seed\": %llu, \"update_deltas\": %d, "
-                   "\"structural\": %d}%s\n",
-                   r.matrix, static_cast<unsigned long long>(r.seed),
-                   r.update_deltas, r.structural ? 1 : 0, tail);
+      json.Key("update_deltas").Int(r.update_deltas);
+      json.Key("structural").Int(r.structural ? 1 : 0);
     } else if (r.deadline_ms > 0.0) {
-      std::fprintf(file,
-                   "  {\"matrix\": %d, \"seed\": %llu, \"deadline_ms\": "
-                   "%.6f}%s\n",
-                   r.matrix, static_cast<unsigned long long>(r.seed),
-                   r.deadline_ms, tail);
-    } else {
-      std::fprintf(file, "  {\"matrix\": %d, \"seed\": %llu}%s\n", r.matrix,
-                   static_cast<unsigned long long>(r.seed), tail);
+      json.Key("deadline_ms").Double(r.deadline_ms);
     }
+    json.EndObject();
   }
-  std::fprintf(file, "]}\n");
-  std::fclose(file);
-  return Status::Ok();
+  json.EndArray().EndObject();
+  return WriteFile(path, json.str());
 }
 
 Expected<RequestTrace> ReadTraceJson(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) return IoError("cannot read " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    text.append(buf, got);
+  auto doc = ReadJsonFile(path);
+  if (!doc.ok()) return doc.status();
+  const JsonValue* requests = doc->Find("requests");
+  if (requests == nullptr || requests->kind != JsonValue::Kind::kArray) {
+    return IoError(path + ": no \"requests\" array");
   }
-  std::fclose(file);
-
-  // Minimal scanner for the writer's schema: every "matrix" key must be
-  // followed by a "seed" key. Tolerates whitespace/ordering the writer emits
-  // but is not a general JSON parser (we have no JSON dependency).
   RequestTrace trace;
-  std::size_t pos = 0;
-  const std::string matrix_key = "\"matrix\"";
-  const std::string seed_key = "\"seed\"";
-  while ((pos = text.find(matrix_key, pos)) != std::string::npos) {
-    pos += matrix_key.size();
-    TraceRequest request;
-    if (std::sscanf(text.c_str() + pos, " : %d", &request.matrix) != 1) {
-      return IoError(path + ": malformed \"matrix\" value");
-    }
-    const std::size_t seed_pos = text.find(seed_key, pos);
-    if (seed_pos == std::string::npos) {
-      return IoError(path + ": \"matrix\" without a following \"seed\"");
-    }
-    unsigned long long seed = 0;
-    if (std::sscanf(text.c_str() + seed_pos + seed_key.size(), " : %llu",
-                    &seed) != 1) {
-      return IoError(path + ": malformed \"seed\" value");
-    }
-    request.seed = seed;
-    if (request.matrix < 0) {
-      return IoError(path + ": negative matrix index");
-    }
-    pos = seed_pos + seed_key.size();
-    // Optional keys belonging to THIS record (i.e. before the next
-    // "matrix"): "deadline_ms" on solves, "update_deltas"/"structural" on
-    // update events.
-    const std::string deadline_key = "\"deadline_ms\"";
-    const std::string deltas_key = "\"update_deltas\"";
-    const std::string structural_key = "\"structural\"";
-    const std::size_t next_matrix = text.find(matrix_key, pos);
-    const auto in_record = [&](std::size_t key_pos) {
-      return key_pos != std::string::npos &&
-             (next_matrix == std::string::npos || key_pos < next_matrix);
+  for (std::size_t i = 0; i < requests->items.size(); ++i) {
+    const JsonValue& record = requests->items[i];
+    const auto bad = [&](const char* key) {
+      return IoError(path + ": request " + std::to_string(i) +
+                     ": missing or malformed \"" + key + "\"");
     };
-    const std::size_t deadline_pos = text.find(deadline_key, pos);
-    if (in_record(deadline_pos)) {
-      double deadline_ms = 0.0;
-      if (std::sscanf(text.c_str() + deadline_pos + deadline_key.size(),
-                      " : %lf", &deadline_ms) != 1) {
-        return IoError(path + ": malformed \"deadline_ms\" value");
-      }
-      request.deadline_ms = deadline_ms;
-      pos = deadline_pos + deadline_key.size();
-    }
-    const std::size_t deltas_pos = text.find(deltas_key, pos);
-    if (in_record(deltas_pos)) {
+    // Reads `key` into `out`; an absent optional key leaves `out` as it is.
+    const auto read = [&](const char* key, auto& out, bool required) {
+      const JsonValue* value = record.Find(key);
+      if (value == nullptr ? !required : value->Get(out)) return Status::Ok();
+      return bad(key);
+    };
+    TraceRequest request;
+    int structural = 0;
+    CAPELLINI_RETURN_IF_ERROR(read("matrix", request.matrix, true));
+    CAPELLINI_RETURN_IF_ERROR(read("seed", request.seed, true));
+    CAPELLINI_RETURN_IF_ERROR(read("deadline_ms", request.deadline_ms, false));
+    CAPELLINI_RETURN_IF_ERROR(
+        read("update_deltas", request.update_deltas, false));
+    CAPELLINI_RETURN_IF_ERROR(read("structural", structural, false));
+    if (request.matrix < 0) return bad("matrix");
+    if (request.update_deltas < 0) return bad("update_deltas");
+    if (request.update_deltas > 0) {
       request.kind = TraceEventKind::kUpdate;
-      if (std::sscanf(text.c_str() + deltas_pos + deltas_key.size(), " : %d",
-                      &request.update_deltas) != 1 ||
-          request.update_deltas <= 0) {
-        return IoError(path + ": malformed \"update_deltas\" value");
-      }
-      pos = deltas_pos + deltas_key.size();
-      const std::size_t structural_pos = text.find(structural_key, pos);
-      if (in_record(structural_pos)) {
-        int structural = 0;
-        if (std::sscanf(text.c_str() + structural_pos + structural_key.size(),
-                        " : %d", &structural) != 1) {
-          return IoError(path + ": malformed \"structural\" value");
-        }
-        request.structural = structural != 0;
-        pos = structural_pos + structural_key.size();
-      }
+      request.structural = structural != 0;
     }
     trace.requests.push_back(request);
   }

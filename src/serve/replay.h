@@ -67,10 +67,10 @@ void InterleaveUpdates(RequestTrace& trace, double update_fraction,
                        int deltas_per_update, double structural_fraction,
                        std::uint64_t seed);
 
-/// {"requests": [{"matrix": 3, "seed": 17}, ...]}; update events carry
-/// "update_deltas" (and "structural") instead of "deadline_ms":
-/// {"matrix": 2, "seed": 9, "update_deltas": 8, "structural": 1}.
-/// Both directions round-trip (replay_test covers mixed traces).
+/// {"requests":[{"matrix":3,"seed":17,"deadline_ms":12.5},...]}; update
+/// events carry "update_deltas" (> 0) and "structural" (0/1) instead of
+/// "deadline_ms". Every record needs "matrix" >= 0 and "seed"; a read error
+/// names the record's index. Values round-trip exactly (support/json.h).
 Status WriteTraceJson(const RequestTrace& trace, const std::string& path);
 Expected<RequestTrace> ReadTraceJson(const std::string& path);
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/json.h"
 #include "support/table.h"
 
 namespace capellini::serve {
@@ -17,17 +18,6 @@ double PercentileSorted(const std::vector<double>& sorted, double p) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-void AppendLatencyJson(std::ostringstream& out, const char* key,
-                       const LatencySummary& s) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "\"%s\": {\"count\": %zu, \"mean_ms\": %.6f, \"p50_ms\": %.6f, "
-                "\"p90_ms\": %.6f, \"p99_ms\": %.6f, \"max_ms\": %.6f}",
-                key, s.count, s.mean_ms, s.p50_ms, s.p90_ms, s.p99_ms,
-                s.max_ms);
-  out << buf;
 }
 
 }  // namespace
@@ -356,92 +346,92 @@ std::string ServiceStats::ToTable(const RegistrySnapshot* registry) const {
 
 std::string ServiceStats::ToJson(const RegistrySnapshot* registry) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"requests\": " << totals_.requests << ",\n";
-  out << "  \"failures\": " << totals_.failures << ",\n";
-  out << "  \"rejections\": " << totals_.rejections << ",\n";
-  out << "  \"deadline_misses\": " << totals_.deadline_misses << ",\n";
-  out << "  \"batches\": " << totals_.batches << ",\n";
-  out << "  \"reorders\": " << totals_.reorders << ",\n";
-  out << "  \"failures_deadlock\": " << totals_.failures_deadlock << ",\n";
-  out << "  \"failures_verify\": " << totals_.failures_verify << ",\n";
-  out << "  \"failures_other\": " << totals_.failures_other << ",\n";
-  out << "  \"breaker_opens\": " << totals_.breaker_opens << ",\n";
-  out << "  \"breaker_probes\": " << totals_.breaker_probes << ",\n";
-  out << "  \"breaker_probe_failures\": " << totals_.breaker_probe_failures
-      << ",\n";
-  out << "  \"breaker_short_circuits\": " << totals_.breaker_short_circuits
-      << ",\n";
-  out << "  \"updates_value\": " << totals_.updates_value << ",\n";
-  out << "  \"updates_structural\": " << totals_.updates_structural << ",\n";
-  out << "  \"update_rejections\": " << totals_.update_rejections << ",\n";
-  out << "  \"update_rows_releveled\": " << totals_.update_rows_releveled
-      << ",\n";
-  out << "  \"update_delta_bytes\": " << totals_.update_delta_bytes << ",\n";
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", totals_.update_analysis_ms);
-    out << "  \"update_analysis_ms\": " << buf << ",\n";
-  }
-  out << "  \"invalidation_causes\": {\"value_only\": " << totals_.updates_value
-      << ", \"structural\": " << totals_.updates_structural << "},\n";
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f",
-                  cost_error_samples_ == 0
-                      ? 0.0
-                      : cost_error_ratio_sum_ /
-                            static_cast<double>(cost_error_samples_));
-    out << "  \"cost_error_ratio\": " << buf << ",\n";
-  }
-  out << "  \"deadline_buckets\": [";
+  JsonWriter json;
+  json.BeginObject()
+      .Key("requests").Int(totals_.requests)
+      .Key("failures").Int(totals_.failures)
+      .Key("rejections").Int(totals_.rejections)
+      .Key("deadline_misses").Int(totals_.deadline_misses)
+      .Key("batches").Int(totals_.batches)
+      .Key("reorders").Int(totals_.reorders)
+      .Key("failures_deadlock").Int(totals_.failures_deadlock)
+      .Key("failures_verify").Int(totals_.failures_verify)
+      .Key("failures_other").Int(totals_.failures_other)
+      .Key("breaker_opens").Int(totals_.breaker_opens)
+      .Key("breaker_probes").Int(totals_.breaker_probes)
+      .Key("breaker_probe_failures").Int(totals_.breaker_probe_failures)
+      .Key("breaker_short_circuits").Int(totals_.breaker_short_circuits)
+      .Key("updates_value").Int(totals_.updates_value)
+      .Key("updates_structural").Int(totals_.updates_structural)
+      .Key("update_rejections").Int(totals_.update_rejections)
+      .Key("update_rows_releveled").Int(totals_.update_rows_releveled)
+      .Key("update_delta_bytes").Int(totals_.update_delta_bytes)
+      .Key("update_analysis_ms").Double(totals_.update_analysis_ms)
+      .Key("invalidation_causes").BeginObject()
+      .Key("value_only").Int(totals_.updates_value)
+      .Key("structural").Int(totals_.updates_structural)
+      .EndObject()
+      .Key("cost_error_ratio")
+      .Double(cost_error_samples_ == 0
+                  ? 0.0
+                  : cost_error_ratio_sum_ /
+                        static_cast<double>(cost_error_samples_))
+      .Key("deadline_buckets").BeginArray();
   for (std::size_t i = 0; i < deadline_buckets_.size(); ++i) {
-    char buf[128];
-    std::snprintf(buf, sizeof buf,
-                  "%s{\"upper_ms\": %.1f, \"total\": %llu, \"missed\": %llu}",
-                  i == 0 ? "" : ", ", kDeadlineBucketUpperMs[i],
-                  static_cast<unsigned long long>(deadline_buckets_[i].total),
-                  static_cast<unsigned long long>(deadline_buckets_[i].missed));
-    out << buf;
+    json.BeginObject()
+        .Key("upper_ms").Double(kDeadlineBucketUpperMs[i])
+        .Key("total").Int(deadline_buckets_[i].total)
+        .Key("missed").Int(deadline_buckets_[i].missed)
+        .EndObject();
   }
-  out << "],\n";
-  out << "  \"batch_occupancy\": [";
-  for (std::size_t k = 0; k < batch_occupancy_.size(); ++k) {
-    out << (k == 0 ? "" : ", ") << batch_occupancy_[k];
-  }
-  out << "],\n  ";
-  AppendLatencyJson(out, "queue_wait", Summarize(queue_wait_ms_));
-  out << ",\n  ";
-  AppendLatencyJson(out, "solve", Summarize(solve_ms_));
+  json.EndArray().Key("batch_occupancy").BeginArray();
+  for (const std::uint64_t count : batch_occupancy_) json.Int(count);
+  json.EndArray();
+  const auto latency = [&json](const char* key,
+                                const std::vector<double>& samples_ms) {
+    const LatencySummary s = Summarize(samples_ms);
+    json.Key(key).BeginObject()
+        .Key("count").Int(s.count)
+        .Key("mean_ms").Double(s.mean_ms)
+        .Key("p50_ms").Double(s.p50_ms)
+        .Key("p90_ms").Double(s.p90_ms)
+        .Key("p99_ms").Double(s.p99_ms)
+        .Key("max_ms").Double(s.max_ms)
+        .EndObject();
+  };
+  latency("queue_wait", queue_wait_ms_);
+  latency("solve", solve_ms_);
   if (registry != nullptr) {
-    out << ",\n  \"registry\": {\"registrations\": " << registry->registrations
-        << ", \"resident_entries\": " << registry->resident_entries
-        << ", \"resident_bytes\": " << registry->resident_bytes
-        << ", \"hits\": " << registry->hits
-        << ", \"misses\": " << registry->misses
-        << ", \"evictions\": " << registry->evictions
-        << ", \"updates\": " << registry->updates
-        << ", \"analysis_cache_hits\": " << registry->analysis_cache_hits
-        << ", \"analysis_cache_misses\": " << registry->analysis_cache_misses
-        << ", \"device_analyses\": " << registry->device_analyses << "}";
+    json.Key("registry").BeginObject()
+        .Key("registrations").Int(registry->registrations)
+        .Key("resident_entries").Int(registry->resident_entries)
+        .Key("resident_bytes").Int(registry->resident_bytes)
+        .Key("hits").Int(registry->hits)
+        .Key("misses").Int(registry->misses)
+        .Key("evictions").Int(registry->evictions)
+        .Key("updates").Int(registry->updates)
+        .Key("analysis_cache_hits").Int(registry->analysis_cache_hits)
+        .Key("analysis_cache_misses").Int(registry->analysis_cache_misses)
+        .Key("device_analyses").Int(registry->device_analyses)
+        .EndObject();
   }
-  out << ",\n  \"per_handle\": [\n";
-  std::size_t i = 0;
+  json.Key("per_handle").BeginArray();
   for (const auto& [handle, ph] : per_handle_) {
-    out << "    {\"handle\": " << handle << ", \"name\": \"" << ph.name
-        << "\", \"requests\": " << ph.requests
-        << ", \"failures\": " << ph.failures
-        << ", \"batched_requests\": " << ph.batched_requests
-        << ", \"updates_value\": " << ph.updates_value
-        << ", \"updates_structural\": " << ph.updates_structural
-        << ", \"rows_releveled\": " << ph.update_rows_releveled
-        << ", \"update_analysis_ms\": " << ph.update_analysis_ms
-        << ", \"delta_log_bytes\": " << ph.delta_log_bytes << "}"
-        << (++i < per_handle_.size() ? "," : "") << "\n";
+    json.BeginObject()
+        .Key("handle").Int(handle)
+        .Key("name").String(ph.name)
+        .Key("requests").Int(ph.requests)
+        .Key("failures").Int(ph.failures)
+        .Key("batched_requests").Int(ph.batched_requests)
+        .Key("updates_value").Int(ph.updates_value)
+        .Key("updates_structural").Int(ph.updates_structural)
+        .Key("rows_releveled").Int(ph.update_rows_releveled)
+        .Key("update_analysis_ms").Double(ph.update_analysis_ms)
+        .Key("delta_log_bytes").Int(ph.delta_log_bytes)
+        .EndObject();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  json.EndArray().EndObject();
+  return std::move(json).str();
 }
 
 }  // namespace capellini::serve

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstdio>
 
+#include "support/json.h"
+
 namespace capellini::sim {
 namespace {
 
@@ -110,111 +112,57 @@ bool FaultInjector::MaybeFlipStoreBit(double& value, std::int64_t tid) {
 }
 
 Status WriteFaultPlanJson(const FaultPlan& plan, const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return IoError("cannot write " + path);
-  std::fprintf(file,
-               "{\n"
-               "  \"seed\": %llu,\n"
-               "  \"drop_publish_rate\": %.9g,\n"
-               "  \"bitflip_store_rate\": %.9g,\n"
-               "  \"stuck_warp_rate\": %.9g,\n"
-               "  \"mem_delay_rate\": %.9g,\n"
-               "  \"stuck_cycles\": %llu,\n"
-               "  \"mem_delay_cycles\": %llu,\n"
-               "  \"max_faults\": %llu,\n"
-               "  \"row_begin\": %lld,\n"
-               "  \"row_end\": %lld,\n"
-               "  \"warp_begin\": %lld,\n"
-               "  \"warp_end\": %lld\n"
-               "}\n",
-               static_cast<unsigned long long>(plan.seed),
-               plan.drop_publish_rate, plan.bitflip_store_rate,
-               plan.stuck_warp_rate, plan.mem_delay_rate,
-               static_cast<unsigned long long>(plan.stuck_cycles),
-               static_cast<unsigned long long>(plan.mem_delay_cycles),
-               static_cast<unsigned long long>(plan.max_faults),
-               static_cast<long long>(plan.row_begin),
-               static_cast<long long>(plan.row_end),
-               static_cast<long long>(plan.warp_begin),
-               static_cast<long long>(plan.warp_end));
-  std::fclose(file);
-  return Status::Ok();
+  JsonWriter json;
+  json.BeginObject()
+      .Key("seed").Int(plan.seed)
+      .Key("drop_publish_rate").Double(plan.drop_publish_rate)
+      .Key("bitflip_store_rate").Double(plan.bitflip_store_rate)
+      .Key("stuck_warp_rate").Double(plan.stuck_warp_rate)
+      .Key("mem_delay_rate").Double(plan.mem_delay_rate)
+      .Key("stuck_cycles").Int(plan.stuck_cycles)
+      .Key("mem_delay_cycles").Int(plan.mem_delay_cycles)
+      .Key("max_faults").Int(plan.max_faults)
+      .Key("row_begin").Int(plan.row_begin)
+      .Key("row_end").Int(plan.row_end)
+      .Key("warp_begin").Int(plan.warp_begin)
+      .Key("warp_end").Int(plan.warp_end)
+      .EndObject();
+  return WriteFile(path, json.str());
 }
 
 Expected<FaultPlan> ReadFaultPlanJson(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) return IoError("cannot read " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(file);
-
+  auto doc = ReadJsonFile(path);
+  if (!doc.ok()) return doc.status();
   FaultPlan plan;
   bool any = false;
-  // Minimal scanner for the writer's schema (see serve/replay.cpp): each key
-  // is optional, unknown keys are ignored, defaults survive.
-  // find_value returns the text after `"key"`, or nullptr if it is absent.
-  auto find_value = [&text](const char* key) -> const char* {
-    std::string quoted = "\"";
-    quoted.append(key).push_back('"');
-    const std::size_t pos = text.find(quoted);
-    return pos == std::string::npos ? nullptr
-                                    : text.c_str() + pos + quoted.size();
-  };
-  auto read_u64 = [&](const char* key, std::uint64_t& out) -> Status {
-    const char* value_text = find_value(key);
-    if (value_text == nullptr) return Status::Ok();
-    unsigned long long value = 0;
-    if (std::sscanf(value_text, " : %llu", &value) != 1) {
-      return IoError(path + ": malformed \"" + key + "\" value");
-    }
-    out = value;
+  Status status;  // the first malformed value
+  const auto read = [&](const char* key, auto& out) {
+    const JsonValue* value = doc->Find(key);
+    if (value == nullptr || !status.ok()) return;
     any = true;
-    return Status::Ok();
-  };
-  auto read_rate = [&](const char* key, double& out) -> Status {
-    const char* value_text = find_value(key);
-    if (value_text == nullptr) return Status::Ok();
-    double value = 0.0;
-    if (std::sscanf(value_text, " : %lf", &value) != 1) {
-      return IoError(path + ": malformed \"" + key + "\" value");
+    if (!value->Get(out)) {
+      status = IoError(path + ": malformed \"" + key + "\" value");
     }
-    if (value < 0.0 || value > 1.0) {
-      return IoError(path + ": \"" + key + "\" must be in [0, 1]");
-    }
-    out = value;
-    any = true;
-    return Status::Ok();
   };
-  CAPELLINI_RETURN_IF_ERROR(read_u64("seed", plan.seed));
-  CAPELLINI_RETURN_IF_ERROR(
-      read_rate("drop_publish_rate", plan.drop_publish_rate));
-  CAPELLINI_RETURN_IF_ERROR(
-      read_rate("bitflip_store_rate", plan.bitflip_store_rate));
-  CAPELLINI_RETURN_IF_ERROR(read_rate("stuck_warp_rate", plan.stuck_warp_rate));
-  CAPELLINI_RETURN_IF_ERROR(read_rate("mem_delay_rate", plan.mem_delay_rate));
-  CAPELLINI_RETURN_IF_ERROR(read_u64("stuck_cycles", plan.stuck_cycles));
-  CAPELLINI_RETURN_IF_ERROR(
-      read_u64("mem_delay_cycles", plan.mem_delay_cycles));
-  CAPELLINI_RETURN_IF_ERROR(read_u64("max_faults", plan.max_faults));
-  auto read_i64 = [&](const char* key, std::int64_t& out) -> Status {
-    const char* value_text = find_value(key);
-    if (value_text == nullptr) return Status::Ok();
-    long long value = 0;
-    if (std::sscanf(value_text, " : %lld", &value) != 1) {
-      return IoError(path + ": malformed \"" + key + "\" value");
+  const auto read_rate = [&](const char* key, double& out) {
+    read(key, out);
+    if (status.ok() && (out < 0.0 || out > 1.0)) {
+      status = IoError(path + ": \"" + key + "\" must be in [0, 1]");
     }
-    out = value;
-    any = true;
-    return Status::Ok();
   };
-  CAPELLINI_RETURN_IF_ERROR(read_i64("row_begin", plan.row_begin));
-  CAPELLINI_RETURN_IF_ERROR(read_i64("row_end", plan.row_end));
-  CAPELLINI_RETURN_IF_ERROR(read_i64("warp_begin", plan.warp_begin));
-  CAPELLINI_RETURN_IF_ERROR(read_i64("warp_end", plan.warp_end));
+  read("seed", plan.seed);
+  read_rate("drop_publish_rate", plan.drop_publish_rate);
+  read_rate("bitflip_store_rate", plan.bitflip_store_rate);
+  read_rate("stuck_warp_rate", plan.stuck_warp_rate);
+  read_rate("mem_delay_rate", plan.mem_delay_rate);
+  read("stuck_cycles", plan.stuck_cycles);
+  read("mem_delay_cycles", plan.mem_delay_cycles);
+  read("max_faults", plan.max_faults);
+  read("row_begin", plan.row_begin);
+  read("row_end", plan.row_end);
+  read("warp_begin", plan.warp_begin);
+  read("warp_end", plan.warp_end);
+  CAPELLINI_RETURN_IF_ERROR(status);
   if (!any) return IoError(path + ": no FaultPlan keys found");
   return plan;
 }

@@ -195,10 +195,10 @@ class ScopedTidOffset {
   std::int64_t saved_;
 };
 
-/// {"seed": 7, "drop_publish_rate": 0.001, ...} — the sptrsv_tool
-/// --faults=<plan.json> format. Writes every field; the reader accepts any
-/// subset and keeps defaults for the rest (same hand-rolled scanner idiom as
-/// serve/replay, no JSON dependency).
+/// {"seed":7,"drop_publish_rate":0.001,...} — the sptrsv_tool --faults
+/// format; every field round-trips exactly (support/json.h). The reader
+/// takes any subset of keys (defaults for the rest, unknown keys ignored),
+/// requires rates in [0, 1] and rejects a file with no plan key.
 Status WriteFaultPlanJson(const FaultPlan& plan, const std::string& path);
 Expected<FaultPlan> ReadFaultPlanJson(const std::string& path);
 

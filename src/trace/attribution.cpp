@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "support/json.h"
 #include "support/table.h"
 
 namespace capellini::trace {
@@ -162,13 +163,7 @@ std::string StallAttribution::ToCsv() const {
 }
 
 Status StallAttribution::WriteCsv(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return IoError("cannot open '" + path + "' for writing");
-  const std::string csv = ToCsv();
-  const std::size_t written = std::fwrite(csv.data(), 1, csv.size(), file);
-  std::fclose(file);
-  if (written != csv.size()) return IoError("short write to '" + path + "'");
-  return Status::Ok();
+  return WriteFile(path, ToCsv());
 }
 
 }  // namespace capellini::trace

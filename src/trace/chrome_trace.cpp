@@ -1,59 +1,34 @@
 #include "trace/chrome_trace.h"
 
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-
 namespace capellini::trace {
 namespace {
 
 // The synthetic process hosting launch-level slices.
 constexpr int kDevicePid = 1000000;
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string Format(const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  return buf;
+// Starts an event with the fields every event has. The caller adds a
+// slice's ("X") "dur" or an instant's ("i") scope "s", any "args", and
+// closes it.
+JsonWriter& Event(JsonWriter& json, std::string_view name, const char* cat,
+                  const char* ph, std::uint64_t ts, int pid, int tid) {
+  return json.BeginObject()
+      .Key("name").String(name)
+      .Key("cat").String(cat)
+      .Key("ph").String(ph)
+      .Key("ts").Int(ts)
+      .Key("pid").Int(pid)
+      .Key("tid").Int(tid);
 }
 
 }  // namespace
 
-void ChromeTraceSink::Emit(std::string event) {
-  if (events_.size() >= options_.max_events) {
+bool ChromeTraceSink::Admit() {
+  if (event_count_ >= options_.max_events) {
     ++dropped_;
-    return;
+    return false;
   }
-  events_.push_back(std::move(event));
+  ++event_count_;
+  return true;
 }
 
 void ChromeTraceSink::OnLaunchBegin(const LaunchInfo& info) {
@@ -62,20 +37,22 @@ void ChromeTraceSink::OnLaunchBegin(const LaunchInfo& info) {
 }
 
 void ChromeTraceSink::OnLaunchEnd(std::uint64_t cycles) {
-  Emit(Format("{\"name\":\"%s\",\"cat\":\"launch\",\"ph\":\"X\",\"ts\":%" PRIu64
-              ",\"dur\":%" PRIu64 ",\"pid\":%d,\"tid\":0}",
-              JsonEscape(launch_name_).c_str(), launch_start_, cycles,
-              kDevicePid));
+  if (Admit()) {
+    Event(events_, launch_name_, "launch", "X", launch_start_, kDevicePid, 0)
+        .Key("dur").Int(cycles)
+        .EndObject();
+  }
   clock_.EndLaunch(cycles);
 }
 
 void ChromeTraceSink::OnBlockDispatch(std::uint64_t cycle, std::int64_t block,
                                       int sm) {
   sms_seen_.insert(sm);
-  Emit(Format("{\"name\":\"dispatch block %" PRId64
-              "\",\"cat\":\"dispatch\",\"ph\":\"i\",\"s\":\"p\",\"ts\":%" PRIu64
-              ",\"pid\":%d,\"tid\":0}",
-              static_cast<std::int64_t>(block), clock_.At(cycle), sm));
+  if (!Admit()) return;
+  Event(events_, "dispatch block " + std::to_string(block), "dispatch", "i",
+        clock_.At(cycle), sm, 0)
+      .Key("s").String("p")
+      .EndObject();
 }
 
 void ChromeTraceSink::OnWarpStart(std::uint64_t cycle, int sm, int warp_slot,
@@ -92,74 +69,81 @@ void ChromeTraceSink::OnWarpFinish(std::uint64_t cycle, int sm, int warp_slot,
   const std::uint64_t start = it->second.first;
   const std::uint64_t end = clock_.At(cycle);
   open_warps_.erase(it);
-  Emit(Format("{\"name\":\"warp t%" PRId64
-              "\",\"cat\":\"warp\",\"ph\":\"X\",\"ts\":%" PRIu64
-              ",\"dur\":%" PRIu64 ",\"pid\":%d,\"tid\":%d}",
-              base_tid, start, end > start ? end - start : 0, sm, warp_slot));
+  if (!Admit()) return;
+  Event(events_, "warp t" + std::to_string(base_tid), "warp", "X", start, sm,
+        warp_slot)
+      .Key("dur").Int(end > start ? end - start : 0)
+      .EndObject();
 }
 
 void ChromeTraceSink::OnIssue(const IssueInfo& info) {
-  if (!options_.include_issues) return;
-  Emit(Format("{\"name\":\"pc %d\",\"cat\":\"issue\",\"ph\":\"X\",\"ts\":%" PRIu64
-              ",\"dur\":1,\"pid\":%d,\"tid\":%d}",
-              info.pc, clock_.At(info.cycle), info.sm, info.warp_slot));
+  if (!options_.include_issues || !Admit()) return;
+  Event(events_, "pc " + std::to_string(info.pc), "issue", "X",
+        clock_.At(info.cycle), info.sm, info.warp_slot)
+      .Key("dur").Int(1)
+      .EndObject();
 }
 
 void ChromeTraceSink::OnMemStall(const MemStallInfo& info) {
+  if (!Admit()) return;
   const char* name =
       info.in_spin ? "poll" : (info.is_atomic ? "atomic" : "mem");
-  Emit(Format("{\"name\":\"%s\",\"cat\":\"stall\",\"ph\":\"X\",\"ts\":%" PRIu64
-              ",\"dur\":%" PRIu64
-              ",\"pid\":%d,\"tid\":%d,\"args\":{\"tx\":%u,\"miss\":%u,"
-              "\"queue\":%" PRIu64 "}}",
-              name, clock_.At(info.cycle),
-              info.ready_at > info.cycle ? info.ready_at - info.cycle : 0,
-              info.sm, info.warp_slot, info.transactions, info.dram_misses,
-              info.queue_cycles));
+  Event(events_, name, "stall", "X", clock_.At(info.cycle), info.sm,
+        info.warp_slot)
+      .Key("dur").Int(info.ready_at > info.cycle ? info.ready_at - info.cycle
+                                                 : 0)
+      .Key("args").BeginObject()
+      .Key("tx").Int(info.transactions)
+      .Key("miss").Int(info.dram_misses)
+      .Key("queue").Int(info.queue_cycles)
+      .EndObject()
+      .EndObject();
 }
 
 void ChromeTraceSink::OnPublish(const PublishInfo& info) {
-  Emit(Format("{\"name\":\"publish\",\"cat\":\"publish\",\"ph\":\"i\",\"s\":"
-              "\"t\",\"ts\":%" PRIu64 ",\"pid\":%d,\"tid\":%d}",
-              clock_.At(info.cycle), info.sm, info.warp_slot));
+  if (!Admit()) return;
+  Event(events_, "publish", "publish", "i", clock_.At(info.cycle), info.sm,
+        info.warp_slot)
+      .Key("s").String("t")
+      .EndObject();
 }
 
 void ChromeTraceSink::OnDeadlock(std::uint64_t cycle, const std::string& dump) {
-  Emit(Format("{\"name\":\"DEADLOCK\",\"cat\":\"watchdog\",\"ph\":\"i\",\"s\":"
-              "\"g\",\"ts\":%" PRIu64
-              ",\"pid\":%d,\"tid\":0,\"args\":{\"dump\":\"%s\"}}",
-              clock_.At(cycle), kDevicePid, JsonEscape(dump).c_str()));
+  if (!Admit()) return;
+  Event(events_, "DEADLOCK", "watchdog", "i", clock_.At(cycle), kDevicePid, 0)
+      .Key("s").String("g")
+      .Key("args").BeginObject()
+      .Key("dump").String(dump)
+      .EndObject()
+      .EndObject();
 }
 
 std::string ChromeTraceSink::ToJson() const {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":"
-                    "\"1us==1cycle\",\"dropped_events\":" +
-                    std::to_string(dropped_) + "},\"traceEvents\":[\n";
+  JsonWriter json;
+  json.BeginObject()
+      .Key("displayTimeUnit").String("ms")
+      .Key("otherData").BeginObject()
+      .Key("clock").String("1us==1cycle")
+      .Key("dropped_events").Int(dropped_)
+      .EndObject()
+      .Key("traceEvents").BeginArray();
   // Metadata first: stable, sorted track names.
-  out += Format("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":"
-                "{\"name\":\"device\"}}",
-                kDevicePid);
-  for (const int sm : sms_seen_) {
-    out += Format(",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"args\":{\"name\":\"SM %d\"}}",
-                  sm, sm);
-  }
-  for (const std::string& event : events_) {
-    out += ",\n";
-    out += event;
-  }
-  out += "\n]}\n";
-  return out;
+  const auto process_name = [&json](int pid, const std::string& name) {
+    json.BeginObject()
+        .Key("name").String("process_name")
+        .Key("ph").String("M")
+        .Key("pid").Int(pid)
+        .Key("args").BeginObject().Key("name").String(name).EndObject()
+        .EndObject();
+  };
+  process_name(kDevicePid, "device");
+  for (const int sm : sms_seen_) process_name(sm, "SM " + std::to_string(sm));
+  json.Splice(events_).EndArray().EndObject();
+  return std::move(json).str();
 }
 
 Status ChromeTraceSink::WriteFile(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return IoError("cannot open '" + path + "' for writing");
-  const std::string json = ToJson();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  if (written != json.size()) return IoError("short write to '" + path + "'");
-  return Status::Ok();
+  return capellini::WriteFile(path, ToJson());
 }
 
 }  // namespace capellini::trace

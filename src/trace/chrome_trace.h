@@ -18,8 +18,8 @@
 #include <map>
 #include <set>
 #include <string>
-#include <vector>
 
+#include "support/json.h"
 #include "support/status.h"
 #include "trace/sink.h"
 
@@ -53,7 +53,7 @@ class ChromeTraceSink : public TraceSink {
   void OnPublish(const PublishInfo& info) override;
   void OnDeadlock(std::uint64_t cycle, const std::string& dump) override;
 
-  std::size_t event_count() const { return events_.size(); }
+  std::size_t event_count() const { return event_count_; }
   std::size_t dropped_events() const { return dropped_; }
 
   /// The complete JSON document (object form with "traceEvents").
@@ -61,10 +61,12 @@ class ChromeTraceSink : public TraceSink {
   Status WriteFile(const std::string& path) const;
 
  private:
-  void Emit(std::string event);
+  /// Counts the next event against max_events; false once it is dropped.
+  bool Admit();
 
   Options options_;
-  std::vector<std::string> events_;
+  JsonWriter events_;  // the kept events, in emission order
+  std::size_t event_count_ = 0;
   std::set<int> sms_seen_;
   std::map<std::pair<int, int>, std::pair<std::uint64_t, std::int64_t>>
       open_warps_;  // (sm, slot) -> (global start, base_tid)

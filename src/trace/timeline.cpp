@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "support/json.h"
+
 namespace capellini::trace {
 
 void SolveTimeline::OnLaunchBegin(const LaunchInfo& info) {
@@ -49,13 +51,7 @@ std::string SolveTimeline::ToCsv() const {
 }
 
 Status SolveTimeline::WriteCsv(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return IoError("cannot open '" + path + "' for writing");
-  const std::string csv = ToCsv();
-  const std::size_t written = std::fwrite(csv.data(), 1, csv.size(), file);
-  std::fclose(file);
-  if (written != csv.size()) return IoError("short write to '" + path + "'");
-  return Status::Ok();
+  return WriteFile(path, ToCsv());
 }
 
 std::uint64_t SolveTimeline::CycleAtFraction(double fraction,

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <vector>
 
 #include "core/solver.h"
@@ -12,6 +13,7 @@
 #include "matrix/triangular.h"
 #include "sim/config.h"
 #include "sim/fault.h"
+#include "support/json.h"
 
 namespace capellini {
 namespace {
@@ -109,7 +111,7 @@ TEST(FaultInjectorTest, BitFlipTogglesLowExponentBit) {
 TEST(FaultPlanJsonTest, RoundTrips) {
   sim::FaultPlan plan;
   plan.seed = 1234;
-  plan.drop_publish_rate = 0.015625;
+  plan.drop_publish_rate = 2.0 / 1200;  // sptrsv_tool's sample plan rate
   plan.bitflip_store_rate = 0.5;
   plan.stuck_warp_rate = 0.125;
   plan.mem_delay_rate = 0.25;
@@ -217,14 +219,33 @@ TEST(FaultInjectorTest, WarpScopeCoversWholeWarps) {
 }
 
 TEST(FaultPlanJsonTest, MissingFileAndGarbageAreErrors) {
-  EXPECT_FALSE(sim::ReadFaultPlanJson("/nonexistent/plan.json").ok());
+  EXPECT_EQ(sim::ReadFaultPlanJson("/nonexistent/plan.json").status().code(),
+            StatusCode::kNotFound);
   const std::string path = testing::TempDir() + "fault_garbage.json";
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  ASSERT_NE(file, nullptr);
-  std::fputs("not a plan\n", file);
-  std::fclose(file);
-  EXPECT_FALSE(sim::ReadFaultPlanJson(path).ok());
+  for (const char* garbage :
+       {"not a plan\n", R"({"seed": 7, "drop_publish_rate": 0.5,, oops)",
+        R"({"unknown": 1})", R"({"drop_publish_rate": 1.5})",
+        R"({"seed": -1})"}) {
+    ASSERT_TRUE(WriteFile(path, garbage).ok());
+    EXPECT_FALSE(sim::ReadFaultPlanJson(path).ok()) << garbage;
+  }
   std::remove(path.c_str());
+}
+
+TEST(FaultPlanJsonTest, KeysAreOptionalAndUnknownKeysIgnored) {
+  const std::string path = testing::TempDir() + "fault_partial.json";
+  ASSERT_TRUE(WriteFile(path, R"({"seed": 3, "note": "x"})").ok());
+  auto read = sim::ReadFaultPlanJson(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->seed, 3u);
+  EXPECT_EQ(read->drop_publish_rate, sim::FaultPlan{}.drop_publish_rate);
+  EXPECT_FALSE(read->HasRowScope());
+  std::remove(path.c_str());
+}
+
+TEST(FaultPlanJsonTest, WriteReportsAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(sim::WriteFaultPlanJson(sim::FaultPlan{}, "/dev/full").ok());
 }
 
 // --- machine-level contracts ------------------------------------------------

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <future>
 #include <thread>
 #include <vector>
@@ -19,9 +21,17 @@
 #include "serve/registry.h"
 #include "serve/replay.h"
 #include "serve/service.h"
+#include "support/json.h"
 
 namespace capellini::serve {
 namespace {
+
+// The integer member `key` of `object`, or -1 when it is absent or not one.
+std::int64_t IntAt(const JsonValue& object, const char* key) {
+  std::int64_t value = -1;
+  const JsonValue* member = object.Find(key);
+  return member != nullptr && member->Get(value) ? value : -1;
+}
 
 Csr TestMatrix(std::uint64_t seed, Idx components_per_level = 150) {
   return MakeLevelStructured({.num_levels = 6,
@@ -1023,10 +1033,27 @@ TEST(ReplayTest, TraceJsonRoundTrips) {
   for (std::size_t i = 0; i < trace.requests.size(); ++i) {
     EXPECT_EQ(loaded->requests[i].matrix, trace.requests[i].matrix);
     EXPECT_EQ(loaded->requests[i].seed, trace.requests[i].seed);
-    EXPECT_NEAR(loaded->requests[i].deadline_ms, trace.requests[i].deadline_ms,
-                1e-6);
+    EXPECT_EQ(loaded->requests[i].deadline_ms, trace.requests[i].deadline_ms);
   }
   std::remove(path.c_str());
+}
+
+TEST(ReplayTest, RecordWithoutSeedIsAnErrorNamingIt) {
+  const std::string path = ::testing::TempDir() + "serve_trace_no_seed.json";
+  ASSERT_TRUE(WriteFile(path, R"({"requests": [{"matrix": 1},
+                                               {"matrix": 2, "seed": 5}]})")
+                  .ok());
+  auto loaded = ReadTraceJson(path);
+  ASSERT_FALSE(loaded.ok()) << loaded->requests.size() << " requests read";
+  EXPECT_NE(loaded.status().message().find("request 0"), std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(ReplayTest, WriteTraceJsonReportsAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(WriteTraceJson(GenerateZipfTrace(8, 2, 1.0, 3), "/dev/full")
+                   .ok());
 }
 
 TEST(ReplayTest, AssignDeadlinesIsDeterministicAndInRange) {
@@ -1060,12 +1087,18 @@ TEST(StatsTest, SummarizePercentilesAndJson) {
                        .est_cost_ms = 2.0});
   stats.RecordRejection();
   stats.RecordReorder();
-  const std::string json = stats.ToJson();
-  EXPECT_NE(json.find("\"requests\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"rejections\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"reorders\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"batch_occupancy\": [0, 0, 1]"), std::string::npos);
-  EXPECT_NE(json.find("\"deadline_buckets\""), std::string::npos);
+  auto json = ParseJson(stats.ToJson());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(IntAt(*json, "requests"), 1);
+  EXPECT_EQ(IntAt(*json, "rejections"), 1);
+  EXPECT_EQ(IntAt(*json, "reorders"), 1);
+  const JsonValue* occupancy = json->Find("batch_occupancy");
+  ASSERT_NE(occupancy, nullptr);
+  ASSERT_EQ(occupancy->items.size(), 3u);
+  EXPECT_EQ(occupancy->items[0].text, "0");
+  EXPECT_EQ(occupancy->items[1].text, "0");
+  EXPECT_EQ(occupancy->items[2].text, "1");
+  EXPECT_NE(json->Find("deadline_buckets"), nullptr);
   EXPECT_NE(stats.ToTable().find("per-handle"), std::string::npos);
 
   // est 2.0 vs actual 1.0 -> |2-1|/1 = 1.0 mean cost error.
@@ -1095,10 +1128,33 @@ TEST(StatsTest, ExpiredRequestsBucketAsMissesWithoutSolveSamples) {
   EXPECT_EQ(buckets[0].total, 1u);   // 3 ms budget -> <= 5 ms bucket
   EXPECT_EQ(buckets[0].missed, 1u);
   // Queue wait is real for an expired request; solve latency is not.
-  EXPECT_NE(stats.ToJson().find("\"queue_wait\": {\"count\": 1"),
-            std::string::npos);
-  EXPECT_NE(stats.ToJson().find("\"solve\": {\"count\": 0"),
-            std::string::npos);
+  auto json = ParseJson(stats.ToJson());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  ASSERT_NE(json->Find("queue_wait"), nullptr);
+  ASSERT_NE(json->Find("solve"), nullptr);
+  EXPECT_EQ(IntAt(*json->Find("queue_wait"), "count"), 1);
+  EXPECT_EQ(IntAt(*json->Find("solve"), "count"), 0);
+}
+
+TEST(StatsTest, JsonEscapesHandleNames) {
+  const std::string name = "a\"b\\c\x01";
+  ServiceStats stats;
+  stats.RecordRequest({.handle = 4,
+                       .name = name,
+                       .outcome = ServiceStats::Outcome::kOk,
+                       .batch_size = 1,
+                       .queue_wait_ms = 0.25,
+                       .solve_ms = 1.0,
+                       .deadline_budget_ms = -1.0,
+                       .est_cost_ms = 0.0});
+  auto json = ParseJson(stats.ToJson());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const JsonValue* per_handle = json->Find("per_handle");
+  ASSERT_NE(per_handle, nullptr);
+  ASSERT_EQ(per_handle->items.size(), 1u);
+  ASSERT_NE(per_handle->items[0].Find("name"), nullptr);
+  EXPECT_EQ(per_handle->items[0].Find("name")->text, name);
+  EXPECT_EQ(IntAt(per_handle->items[0], "handle"), 4);
 }
 
 }  // namespace

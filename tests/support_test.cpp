@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "support/breaker.h"
 #include "support/cli.h"
+#include "support/json.h"
 #include "support/rng.h"
 #include "support/status.h"
 #include "support/table.h"
@@ -297,6 +304,135 @@ TEST(BreakerTest, TripsProbesAndReportsEachTransition) {
   EXPECT_EQ(breaker.Admit().decision, Decision::kAllow);
   // Closing starts from a clean slate: one failure does not re-trip.
   EXPECT_EQ(breaker.Report(true), Transition::kNone);
+}
+
+TEST(JsonTest, WritesOneCompactLayout) {
+  JsonWriter json;
+  json.BeginObject()
+      .Key("a").BeginArray().Int(1).Double(2.5).String("x").Bool(true)
+      .EndArray()
+      .Key("b").BeginObject().EndObject()
+      .Key("c").Double(2.0)
+      .Key("d").Hex(0xabc)
+      .EndObject();
+  EXPECT_EQ(json.str(),
+            R"({"a":[1,2.5,"x",true],"b":{},"c":2.0,"d":"0000000000000abc"})");
+}
+
+TEST(JsonTest, EscapesAndControlCharactersRoundTrip) {
+  std::string text = "quote\" backslash\\ slash/ tab\t newline\n";
+  for (int c = 0; c < 0x20; ++c) text += static_cast<char>(c);
+  text += "\x7f caf\xc3\xa9";
+  JsonWriter json;
+  json.BeginArray().String(text).EndArray();
+  auto parsed = ParseJson(json.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->items.size(), 1u);
+  EXPECT_EQ(parsed->items[0].kind, JsonValue::Kind::kString);
+  EXPECT_EQ(parsed->items[0].text, text);
+  // Every escape RFC 8259 allows, including a surrogate pair.
+  auto escapes = ParseJson(R"("\"\\\/\b\f\n\r\t\u00e9\ud83d\ude00")");
+  ASSERT_TRUE(escapes.ok()) << escapes.status().ToString();
+  EXPECT_EQ(escapes->text, "\"\\/\b\f\n\r\t\xc3\xa9\xf0\x9f\x98\x80");
+}
+
+TEST(JsonTest, IntegersAtTheLimitsReadBackExactly) {
+  constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::int64_t kMinI64 = std::numeric_limits<std::int64_t>::min();
+  JsonWriter json;
+  json.BeginObject().Key("u").Int(kMaxU64).Key("i").Int(kMinI64).EndObject();
+  auto parsed = ParseJson(json.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::uint64_t u = 0;
+  std::int64_t i = 0;
+  ASSERT_TRUE(parsed->Find("u")->Get(u));
+  ASSERT_TRUE(parsed->Find("i")->Get(i));
+  EXPECT_EQ(u, kMaxU64);
+  EXPECT_EQ(i, kMinI64);
+  // A value that does not fit the requested type is refused, not clamped.
+  std::int64_t narrow = 7;
+  EXPECT_FALSE(parsed->Find("u")->Get(narrow));
+  EXPECT_FALSE(parsed->Find("i")->Get(u));
+  EXPECT_EQ(narrow, 7);
+  int whole = 0;
+  auto fraction = ParseJson("1.5");
+  ASSERT_TRUE(fraction.ok());
+  EXPECT_FALSE(fraction->Get(whole));
+}
+
+TEST(JsonTest, DoublesReadBackBitExact) {
+  const double values[] = {2.0 / 1200, 1e-300, 0.1, -0.0, 1.0 / 3.0,
+                           123456789.125, 5e-324, 1.7976931348623157e308};
+  for (const double value : values) {
+    JsonWriter json;
+    json.Double(value);
+    auto parsed = ParseJson(json.str());
+    ASSERT_TRUE(parsed.ok()) << json.str();
+    double back = 1.0;
+    ASSERT_TRUE(parsed->Get(back)) << json.str();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(value))
+        << json.str();
+  }
+}
+
+TEST(JsonTest, NonFiniteDoublesAreWrittenAsNull) {
+  JsonWriter json;
+  json.BeginArray()
+      .Double(std::numeric_limits<double>::infinity())
+      .Double(-std::numeric_limits<double>::infinity())
+      .Double(std::numeric_limits<double>::quiet_NaN())
+      .EndArray();
+  EXPECT_EQ(json.str(), "[null,null,null]");
+}
+
+TEST(JsonTest, ParserRejectsMalformedDocuments) {
+  const char* bad[] = {
+      R"({"seed": 7, "drop_publish_rate": 0.5,, oops)",
+      "[1,,2]",
+      "[1,2,]",
+      R"({"a": 1,})",
+      R"({"a" 1})",
+      R"({"a": "unterminated)",
+      R"({"a": 1} trailing)",
+      "",
+      "01",
+      "1.",
+      "-",
+      "tru",
+      R"("\x")",
+      R"("\ud800")",
+      "\"raw\ncontrol\"",
+  };
+  for (const char* text : bad) {
+    auto parsed = ParseJson(text);
+    EXPECT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  const auto error = ParseJson(R"({"a" 1})").status();
+  EXPECT_NE(error.message().find("byte 5"), std::string::npos)
+      << error.ToString();
+  EXPECT_FALSE(ParseJson(std::string(65, '[') + std::string(65, ']')).ok());
+  EXPECT_TRUE(ParseJson(std::string(64, '[') + std::string(64, ']')).ok());
+  EXPECT_TRUE(ParseJson(" {\"a\" : [ 1 , -2.5e+3 , null , false ] }\n").ok());
+}
+
+TEST(JsonFileTest, ReadFileOnAMissingPathIsNotFound) {
+  const auto missing = ReadFile(testing::TempDir() + "no_such_file.json");
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  const std::string path = testing::TempDir() + "json_file_test.bin";
+  const std::string bytes("a\0b\xff", 4);
+  ASSERT_TRUE(WriteFile(path, bytes).ok());
+  auto read = ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, bytes);
+  std::remove(path.c_str());
+}
+
+TEST(JsonFileTest, WriteFileReportsAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_EQ(WriteFile("/dev/full", "{}").code(), StatusCode::kIoError);
+  EXPECT_FALSE(WriteFile(testing::TempDir() + "no_dir/x.json", "{}").ok());
 }
 
 }  // namespace

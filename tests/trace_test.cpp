@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "kernels/launch.h"
 #include "matrix/triangular.h"
 #include "sim/config.h"
+#include "support/json.h"
 #include "trace/attribution.h"
 #include "trace/chrome_trace.h"
 #include "trace/session.h"
@@ -85,6 +87,43 @@ TEST(TraceChrome, ByteIdenticalAcrossRuns) {
   EXPECT_NE(json[0].find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json[0].find("\"cat\":\"warp\""), std::string::npos);
   EXPECT_EQ(json[0], json[1]) << "identical solves must serialize identically";
+}
+
+TEST(TraceChrome, CapKeepsTheFirstEventsAndCountsTheRest) {
+  const Csr lower = RandomMatrix(600);
+  const ReferenceProblem problem = MakeReferenceProblem(lower, 7);
+  trace::ChromeTraceSink full;
+  trace::ChromeTraceSink::Options cap;
+  cap.max_events = 50;
+  trace::ChromeTraceSink capped(cap);
+  trace::MultiSink both({&full, &capped});
+  SolveOptions options;
+  options.trace_sink = &both;
+  auto result = SolveOnDevice(DeviceAlgorithm::kCapelliniWritingFirst, lower,
+                              problem.b, sim::TinyTestDevice(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(full.event_count(), 50u);
+  EXPECT_EQ(capped.event_count(), 50u);
+  EXPECT_EQ(capped.dropped_events(), full.event_count() - 50);
+
+  auto all = ParseJson(full.ToJson());
+  auto kept = ParseJson(capped.ToJson());
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  const auto& all_events = all->Find("traceEvents")->items;
+  const auto& kept_events = kept->Find("traceEvents")->items;
+  // The same per-SM metadata records lead both files.
+  const std::size_t metadata = all_events.size() - full.event_count();
+  ASSERT_EQ(kept_events.size(), metadata + 50);
+  for (std::size_t i = metadata; i < kept_events.size(); ++i) {
+    ASSERT_NE(kept_events[i].Find("ts"), nullptr);
+    EXPECT_EQ(kept_events[i].Find("name")->text,
+              all_events[i].Find("name")->text);
+    EXPECT_EQ(kept_events[i].Find("ts")->text, all_events[i].Find("ts")->text);
+  }
+  std::uint64_t dropped = 0;
+  ASSERT_TRUE(kept->Find("otherData")->Find("dropped_events")->Get(dropped));
+  EXPECT_EQ(dropped, capped.dropped_events());
 }
 
 TEST(TraceAttribution, TwoPhaseBusyWaitsMoreThanWritingFirst) {
@@ -284,6 +323,21 @@ TEST(TraceSessionTest, BundlesAllThreeSinks) {
             static_cast<std::size_t>(lower.rows()));
   EXPECT_GT(session.chrome().event_count(), 0u);
   EXPECT_FALSE(session.attribution().SummaryTable().empty());
+}
+
+TEST(TraceSessionTest, WritersReportAFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Csr lower = RandomMatrix(200);
+  const ReferenceProblem problem = MakeReferenceProblem(lower, 31);
+  trace::TraceSession session;
+  SolveOptions options;
+  options.trace_sink = session.sink();
+  ASSERT_TRUE(SolveOnDevice(DeviceAlgorithm::kCapelliniWritingFirst, lower,
+                            problem.b, sim::TinyTestDevice(), options)
+                  .ok());
+  EXPECT_FALSE(session.WriteChromeTrace("/dev/full").ok());
+  EXPECT_FALSE(session.attribution().WriteCsv("/dev/full").ok());
+  EXPECT_FALSE(session.timeline().WriteCsv("/dev/full").ok());
 }
 
 }  // namespace

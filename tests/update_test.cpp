@@ -24,6 +24,7 @@
 #include "serve/replay.h"
 #include "serve/service.h"
 #include "sim/config.h"
+#include "support/json.h"
 #include "update/delta.h"
 #include "update/incremental.h"
 
@@ -1039,17 +1040,26 @@ TEST(StatsUpdateTest, TableAndJsonCarryUpdateCounters) {
       std::string::npos)
       << table;
 
-  const std::string json = service.stats().ToJson(&snapshot);
-  EXPECT_NE(json.find("\"updates_value\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"updates_structural\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"update_rejections\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"update_rows_releveled\""), std::string::npos);
-  EXPECT_NE(json.find("\"update_delta_bytes\""), std::string::npos);
-  EXPECT_NE(json.find("\"update_analysis_ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"invalidation_causes\""), std::string::npos);
-  EXPECT_NE(json.find("\"updates\": 2"), std::string::npos);  // registry view
-  EXPECT_NE(json.find("\"analysis_cache_hits\""), std::string::npos);
-  EXPECT_NE(json.find("\"device_analyses\""), std::string::npos);
+  const std::string text = service.stats().ToJson(&snapshot);
+  auto json = ParseJson(text);
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const auto int_at = [](const JsonValue& object, const char* key) {
+    std::int64_t value = -1;
+    const JsonValue* member = object.Find(key);
+    return member != nullptr && member->Get(value) ? value : -1;
+  };
+  EXPECT_EQ(int_at(*json, "updates_value"), 1) << text;
+  EXPECT_EQ(int_at(*json, "updates_structural"), 1);
+  EXPECT_EQ(int_at(*json, "update_rejections"), 1);
+  EXPECT_NE(json->Find("update_rows_releveled"), nullptr);
+  EXPECT_NE(json->Find("update_delta_bytes"), nullptr);
+  EXPECT_NE(json->Find("update_analysis_ms"), nullptr);
+  EXPECT_NE(json->Find("invalidation_causes"), nullptr);
+  const JsonValue* registry_view = json->Find("registry");
+  ASSERT_NE(registry_view, nullptr) << text;
+  EXPECT_EQ(int_at(*registry_view, "updates"), 2);
+  EXPECT_NE(registry_view->Find("analysis_cache_hits"), nullptr);
+  EXPECT_NE(registry_view->Find("device_analyses"), nullptr);
   EXPECT_NE(table.find("relevel_ms="), std::string::npos) << table;
 }
 
