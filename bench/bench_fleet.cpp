@@ -11,8 +11,9 @@
 //   * scaling: sharded serving over the bench_serve zipf workload must show
 //     > 1.0x aggregate simulated throughput at K=4 vs K=1.
 //
-// The JSON (--json) reports per-device cycles, cross-partition comm volume
-// and the serve speedup table over K.
+// The JSON (--json) reports per-device cycles, cross-partition comm volume,
+// the host wall time and parallelism of each K's solve, and the serve
+// speedup table over K.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -39,6 +40,10 @@ struct FleetPoint {
   fleet::FleetStats stats;
   std::uint64_t checksum = 0;
   bool thread_invariant = true;
+  /// Host wall ms of the Solve call with a thread per device (the
+  /// host_threads=8 run), and its summed device host_ms over that wall.
+  double solve_wall_ms = 0.0;
+  double host_parallelism = 0.0;
 };
 
 /// One fleet configuration across host thread counts: returns the stats of
@@ -53,9 +58,17 @@ Expected<FleetPoint> RunFleet(const Solver& solver, std::span<const Val> b,
     config.num_devices = devices;
     config.host_threads = host_threads;
     fleet::DeviceFleet device_fleet(config);
+    Timer wall;
     auto result = fleet::FleetSolver(&device_fleet).Solve(solver, b);
+    point.solve_wall_ms = wall.ElapsedMs();
     if (!result.ok()) return result.status();
     if (!result->status.ok()) return result->status;
+    double host_ms = 0.0;
+    for (const fleet::DeviceStats& ds : result->stats.devices) {
+      host_ms += ds.host_ms;
+    }
+    point.host_parallelism =
+        point.solve_wall_ms > 0.0 ? host_ms / point.solve_wall_ms : 0.0;
     const std::uint64_t checksum = ChecksumX(result->x);
     if (host_threads == 1) {
       point.stats = std::move(result->stats);
@@ -185,14 +198,16 @@ int Run(int argc, char** argv) {
   bool invariant = true;
   for (const FleetPoint& point : points) {
     std::printf("K=%d: makespan %llu cycles (%.4f ms), %lld cross edges, "
-                "%llu msgs, %llu bytes, thread-invariant %s\n",
+                "%llu msgs, %llu bytes, thread-invariant %s; host %.1f ms "
+                "wall, parallelism %.2f\n",
                 point.devices,
                 static_cast<unsigned long long>(point.stats.makespan_cycles),
                 point.stats.exec_ms,
                 static_cast<long long>(point.stats.cross_edges),
                 static_cast<unsigned long long>(point.stats.total_messages),
                 static_cast<unsigned long long>(point.stats.total_comm_bytes),
-                point.thread_invariant ? "yes" : "NO");
+                point.thread_invariant ? "yes" : "NO", point.solve_wall_ms,
+                point.host_parallelism);
     for (const fleet::DeviceStats& ds : point.stats.devices) {
       std::printf("    dev rows [%lld,%lld): %llu cycles, %llu in-msgs, "
                   "%llu comm-delay cycles\n",
@@ -271,12 +286,15 @@ int Run(int argc, char** argv) {
           .Key("comm_bytes").Int(point.stats.total_comm_bytes)
           .Key("critical_device").Int(point.stats.critical_device)
           .Key("thread_invariant").Bool(point.thread_invariant)
+          .Key("solve_wall_ms").Double(point.solve_wall_ms)
+          .Key("host_parallelism").Double(point.host_parallelism)
           .Key("per_device").BeginArray();
       for (std::size_t d = 0; d < point.stats.devices.size(); ++d) {
         const fleet::DeviceStats& ds = point.stats.devices[d];
         // host_ns_per_sim_cycle: interpreter wall-clock speed for THIS
-        // device's launch (host_ms is measured, never deterministic; it is
-        // excluded from the identity/thread-invariance checksums).
+        // device's launch, busy time only (host_ms is measured, never
+        // deterministic; it is excluded from the identity/thread-invariance
+        // checksums).
         json.BeginObject()
             .Key("device").Int(d)
             .Key("row_begin").Int(ds.row_begin)

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <limits>
+#include <mutex>
 #include <span>
 #include <utility>
 
@@ -30,6 +33,13 @@ DeviceFleet::DeviceFleet(const FleetConfig& config) : config_(config) {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+double MsSince(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
 /// One remote row a device waits on: producer device + global row.
 struct Need {
   int src = 0;
@@ -41,10 +51,178 @@ struct Outcome {
   Status status;
   std::vector<Val> x;                        // full-length device image
   std::vector<std::uint64_t> publish_cycles; // per local row
-  /// The task reached SolveRangeOnDevice (false = it bailed before the
-  /// launch: upstream failure or an unpublished remote row). Recovery treats
-  /// un-launched failures as upstream-induced and retries the owner first.
+  /// The device launched in the first pass (false = it did not: an upstream
+  /// failure or an unpublished remote row). Recovery treats un-launched
+  /// failures as upstream-induced and retries the owner first.
   bool launched = false;
+};
+
+/// The first pass's co-simulation (DESIGN.md §4f): the device launches run
+/// at once on the pool, one host thread each by default, and trade boundary
+/// publishes here. Device d may simulate cycle c once it knows every peer
+/// store landing at or before c. A store it does not know yet comes from a
+/// publish at or after its producer's reported clock, and arrives no sooner
+/// than the link's NextArrival of that clock, so d's horizon is the smallest
+/// such bound over the producers it still waits on. Arrivals are priced per
+/// link in row order, exactly as a serial pass prices them. A device whose
+/// producer failed, or finished without publishing a row it needs, is
+/// cancelled.
+class Exchange {
+ public:
+  Exchange(const Partition& part, const std::vector<std::vector<Need>>& needs,
+           const CommConfig& comm)
+      : part_(part),
+        comm_(comm, part.num_devices()),
+        producers_(static_cast<std::size_t>(part.num_devices())),
+        report_every_(std::max<std::uint64_t>(1, comm_.MinDelay() / 2)) {
+    for (int d = 0; d < part.num_devices(); ++d) {
+      Producer& producer = producers_[static_cast<std::size_t>(d)];
+      producer.cycle.assign(static_cast<std::size_t>(part.RowCount(d)),
+                            UINT64_MAX);
+      producer.value.assign(producer.cycle.size(), 0.0);
+      ports_.emplace_back(this, d, needs[static_cast<std::size_t>(d)]);
+    }
+  }
+  Exchange(const Exchange&) = delete;
+  Exchange& operator=(const Exchange&) = delete;
+
+  /// Device d's side, handed to its launch; only d's thread uses it.
+  class Port final : public kernels::RangePeers {
+   public:
+    Port(Exchange* exchange, int device, const std::vector<Need>& needs)
+        : exchange_(exchange), device_(device), num_arrivals_(needs.size()) {
+      for (const Need& need : needs) {  // sorted by (src, row)
+        if (inbound_.empty() || inbound_.back().src != need.src) {
+          inbound_.push_back(Inbound{need.src, {}, 0});
+        }
+        inbound_.back().rows.push_back(need.row);
+      }
+    }
+    Port(const Port&) = delete;
+    Port& operator=(const Port&) = delete;
+
+    std::size_t num_arrivals() const override { return num_arrivals_; }
+
+    /// Reports this device's clock and publishes, then blocks until its
+    /// horizon passes `cycle` or it is cancelled.
+    std::uint64_t Sync(std::uint64_t cycle,
+                       std::vector<kernels::RangeArrival>& arrivals) override {
+      std::unique_lock lock(exchange_->mutex_);
+      exchange_->Report(device_, cycle);
+      for (;;) {
+        const std::uint64_t horizon = Poll(cycle, arrivals);
+        if (horizon == kCancel || horizon > cycle) return horizon;
+        const Clock::time_point start = Clock::now();
+        exchange_->progress_.wait(lock);
+        wait_ms_ += MsSince(start);
+      }
+    }
+
+    void OnPublish(Idx row, Val value, std::uint64_t cycle) override {
+      pending_.push_back(Publish{row, value, cycle});
+    }
+
+    /// Host milliseconds this device spent blocked on its producers.
+    double wait_ms() const { return wait_ms_; }
+
+   private:
+    friend class Exchange;
+    struct Publish {
+      Idx row = 0;
+      Val value = 0.0;
+      std::uint64_t cycle = 0;
+    };
+    /// One producer's rows this device reads, in row order; rows before
+    /// `next` are delivered.
+    struct Inbound {
+      int src = 0;
+      std::vector<Idx> rows;
+      std::size_t next = 0;
+    };
+
+    /// Delivers every arrival that became known and returns the horizon, or
+    /// kCancel. Caller holds the exchange lock.
+    std::uint64_t Poll(std::uint64_t cycle,
+                       std::vector<kernels::RangeArrival>& arrivals) {
+      std::uint64_t horizon = cycle + exchange_->report_every_;
+      for (Inbound& in : inbound_) {
+        const Producer& src =
+            exchange_->producers_[static_cast<std::size_t>(in.src)];
+        if (src.failed) return kCancel;
+        const Idx base = exchange_->part_.RowBegin(in.src);
+        for (; in.next < in.rows.size(); ++in.next) {
+          const Idx row = in.rows[in.next];
+          const auto local = static_cast<std::size_t>(row - base);
+          if (src.cycle[local] == UINT64_MAX) break;
+          arrivals.push_back(kernels::RangeArrival{
+              row, src.value[local],
+              exchange_->comm_.Deliver(in.src, device_, src.cycle[local])});
+        }
+        if (in.next == in.rows.size()) continue;
+        if (src.finished) return kCancel;  // a needed row was never published
+        horizon = std::min(
+            horizon, exchange_->comm_.NextArrival(in.src, device_, src.clock));
+      }
+      return horizon;
+    }
+
+    Exchange* exchange_;
+    int device_;
+    std::size_t num_arrivals_;
+    std::vector<Inbound> inbound_;
+    std::vector<Publish> pending_;  // landed since the last report
+    double wait_ms_ = 0.0;
+  };
+
+  Port& port(int d) { return ports_[static_cast<std::size_t>(d)]; }
+
+  /// Device d's launch is over, or never ran: its last publishes become
+  /// visible, consumers stop waiting for more, and if it failed they are
+  /// cancelled.
+  void Finish(int d, bool ok) {
+    std::lock_guard lock(mutex_);
+    Report(d, UINT64_MAX);
+    producers_[static_cast<std::size_t>(d)].finished = true;
+    producers_[static_cast<std::size_t>(d)].failed = !ok;
+  }
+
+ private:
+  /// Everything consumers know about one device as a producer.
+  struct Producer {
+    std::uint64_t clock = 0;  // every publish below this cycle is recorded
+    bool finished = false;
+    bool failed = false;
+    std::vector<std::uint64_t> cycle;  // per local row, UINT64_MAX = not yet
+    std::vector<Val> value;
+  };
+
+  /// Records device d's pending publishes and its clock, and wakes the
+  /// waiting consumers. Caller holds the lock.
+  void Report(int d, std::uint64_t clock) {
+    Producer& producer = producers_[static_cast<std::size_t>(d)];
+    Port& port = ports_[static_cast<std::size_t>(d)];
+    const Idx base = part_.RowBegin(d);
+    for (const Port::Publish& publish : port.pending_) {
+      const auto local = static_cast<std::size_t>(publish.row - base);
+      producer.cycle[local] = publish.cycle;
+      producer.value[local] = publish.value;
+    }
+    port.pending_.clear();
+    producer.clock = clock;
+    progress_.notify_all();
+  }
+
+  const Partition& part_;
+  /// Guards comm_, producers_ and each port's inbound_; progress_ signals a
+  /// report.
+  std::mutex mutex_;
+  std::condition_variable progress_;
+  CommModel comm_;  // prices the arrivals the launches see
+  std::vector<Producer> producers_;
+  /// A device reports its clock at least this often (in its own cycles), so
+  /// a consumer blocked on it wakes within half a lookahead window.
+  std::uint64_t report_every_;
+  std::deque<Port> ports_;  // stable addresses: the launches hold them
 };
 
 }  // namespace
@@ -120,116 +298,136 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
     dstats[static_cast<std::size_t>(d)].status =
         outcomes[static_cast<std::size_t>(d)].status;
   }
-  std::vector<std::promise<void>> done(static_cast<std::size_t>(k));
-  std::vector<std::shared_future<void>> done_futures;
-  done_futures.reserve(static_cast<std::size_t>(k));
-  for (auto& promise : done) done_futures.push_back(promise.get_future().share());
+  // Each device's injector before and after its launch, so a launch the
+  // first pass discards can be undone.
+  std::vector<std::pair<sim::FaultInjector::Mark, sim::FaultInjector::Mark>>
+      fault_marks(static_cast<std::size_t>(k));
 
-  CommModel comm(config.comm, k);
+  {
+    Exchange exchange(part, needs, config.comm);
+    // Device d waits only on producers d' < d, and the pool starts tasks in
+    // FIFO order, so the lowest unfinished device never waits: progress
+    // holds for any pool size, and one thread runs the devices in order.
+    ThreadPool pool(config.host_threads > 0 ? config.host_threads : k);
+    std::vector<std::future<void>> tasks;
+    tasks.reserve(static_cast<std::size_t>(k));
+    for (int d = 0; d < k; ++d) {
+      tasks.push_back(pool.Submit([&, d] {
+        Outcome& out = outcomes[static_cast<std::size_t>(d)];
+        DeviceStats& ds = dstats[static_cast<std::size_t>(d)];
+        struct Finished {
+          Exchange* exchange;
+          int device;
+          const Status* status;
+          ~Finished() { exchange->Finish(device, status->ok()); }
+        } finished{&exchange, d, &out.status};
 
-  // Task d blocks only on producers d' < d; the pool picks tasks up in FIFO
-  // order, so started tasks always form a prefix of the submission order and
-  // the lowest unfinished task has all producers finished — progress is
-  // guaranteed for any pool size >= 1.
-  ThreadPool pool(config.host_threads > 0 ? config.host_threads : k);
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(static_cast<std::size_t>(k));
-  for (int d = 0; d < k; ++d) {
-    tasks.push_back(pool.Submit([&, d] {
-      Outcome& out = outcomes[static_cast<std::size_t>(d)];
-      DeviceStats& ds = dstats[static_cast<std::size_t>(d)];
-      struct DoneSignal {
-        std::promise<void>* promise;
-        ~DoneSignal() { promise->set_value(); }
-      } signal{&done[static_cast<std::size_t>(d)]};
+        ds.row_begin = part.RowBegin(d);
+        ds.row_end = part.RowEnd(d);
+        ds.nnz = lower.row_ptr()[static_cast<std::size_t>(ds.row_end)] -
+                 lower.row_ptr()[static_cast<std::size_t>(ds.row_begin)];
+        if (ds.row_begin == ds.row_end) {  // empty block (K > rows)
+          out.x.assign(static_cast<std::size_t>(m), 0.0);
+          out.status = Status::Ok();
+          ds.status = Status::Ok();
+          return;
+        }
 
-      ds.row_begin = part.RowBegin(d);
-      ds.row_end = part.RowEnd(d);
-      ds.nnz = lower.row_ptr()[static_cast<std::size_t>(ds.row_end)] -
-               lower.row_ptr()[static_cast<std::size_t>(ds.row_begin)];
-
-      const std::vector<Need>& my_needs = needs[static_cast<std::size_t>(d)];
-      for (const Need& need : my_needs) {
-        done_futures[static_cast<std::size_t>(need.src)].wait();
-      }
-      for (const Need& need : my_needs) {
-        const Outcome& src = outcomes[static_cast<std::size_t>(need.src)];
-        if (!src.status.ok()) {
-          out.status = DeadlockError(
-              "fleet device " + std::to_string(d) + ": upstream device " +
-              std::to_string(need.src) + " failed: " + src.status.message());
+        kernels::SolveOptions options;
+        options.threads_per_block = config.threads_per_block;
+        options.trace_sink = fleet_->trace_sink(d);
+        options.fault_injector = fleet_->fault_injector(d);
+        auto& [before, after] = fault_marks[static_cast<std::size_t>(d)];
+        if (options.fault_injector) before = options.fault_injector->mark();
+        // Machine hooks see LOCAL tids; plans are written in global rows. The
+        // offset is RAII-scoped so a later single-device run on the same
+        // injector never inherits it.
+        sim::ScopedTidOffset tid_guard(options.fault_injector, ds.row_begin);
+        out.launched = true;
+        const Clock::time_point host_begin = Clock::now();
+        auto range = kernels::SolveRangeOnDevice(
+            config.algorithm, lower, b, ds.row_begin, ds.row_end,
+            exchange.port(d), fleet_->machine(d), fleet_->memory(d), options);
+        ds.host_wait_ms = exchange.port(d).wait_ms();
+        ds.host_ms = MsSince(host_begin) - ds.host_wait_ms;
+        if (options.fault_injector) after = options.fault_injector->mark();
+        if (!range.ok()) {
+          out.status = range.status();
           ds.status = out.status;
           return;
         }
-      }
-
-      std::vector<kernels::RangeArrival> arrivals;
-      arrivals.reserve(my_needs.size());
-      for (const Need& need : my_needs) {
-        const Outcome& src = outcomes[static_cast<std::size_t>(need.src)];
-        const std::uint64_t published =
-            src.publish_cycles[static_cast<std::size_t>(
-                need.row - part.RowBegin(need.src))];
-        if (published == UINT64_MAX) {
-          // The producer finished but this row's flag never landed (dropped
-          // publish). On hardware the consumer would spin forever; fail fast
-          // with the same status the watchdog would eventually report.
-          out.status = DeadlockError(
-              "fleet device " + std::to_string(d) + ": row " +
-              std::to_string(need.row) + " was never published by device " +
-              std::to_string(need.src) + " (dropped publish?)");
-          ds.status = out.status;
-          return;
-        }
-        const std::uint64_t arrival = comm.Deliver(need.src, d, published);
-        arrivals.push_back(kernels::RangeArrival{
-            need.row, src.x[static_cast<std::size_t>(need.row)], arrival});
-        ++ds.in_messages;
-        ds.comm_bytes_in += config.comm.bytes_per_message;
-        ds.comm_delay_cycles += arrival - published;
-        ds.last_arrival_cycle = std::max(ds.last_arrival_cycle, arrival);
-      }
-
-      if (ds.row_begin == ds.row_end) {  // empty block (K > rows)
-        out.x.assign(static_cast<std::size_t>(m), 0.0);
-        out.publish_cycles.clear();
+        out.x = std::move(range->x);
+        out.publish_cycles = std::move(range->publish_cycles);
         out.status = Status::Ok();
+        ds.launch = range->stats;
+        ds.cycles = range->stats.cycles;
+        ds.exec_ms = range->exec_ms;
         ds.status = Status::Ok();
-        return;
-      }
-
-      kernels::SolveOptions options;
-      options.threads_per_block = config.threads_per_block;
-      options.trace_sink = fleet_->trace_sink(d);
-      options.fault_injector = fleet_->fault_injector(d);
-      // Machine hooks see LOCAL tids; plans are written in global rows. The
-      // offset is RAII-scoped (like the machine's external-store clear) so a
-      // later single-device run on the same injector never inherits it.
-      sim::ScopedTidOffset tid_guard(options.fault_injector, ds.row_begin);
-      out.launched = true;
-      const auto host_begin = std::chrono::steady_clock::now();
-      auto range = kernels::SolveRangeOnDevice(
-          config.algorithm, lower, b, ds.row_begin, ds.row_end, arrivals,
-          fleet_->machine(d), fleet_->memory(d), options);
-      ds.host_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - host_begin)
-                       .count();
-      if (!range.ok()) {
-        out.status = range.status();
-        ds.status = out.status;
-        return;
-      }
-      out.x = std::move(range->x);
-      out.publish_cycles = std::move(range->publish_cycles);
-      out.status = Status::Ok();
-      ds.launch = range->stats;
-      ds.cycles = range->stats.cycles;
-      ds.exec_ms = range->exec_ms;
-      ds.boundary_stall_cycles = std::min(ds.cycles, ds.last_arrival_cycle);
-      ds.status = Status::Ok();
-    }));
+      }));
+    }
+    for (auto& task : tasks) task.get();
   }
-  for (auto& task : tasks) task.get();
+
+  // The first-pass outcome of each device, in device order, as if each had
+  // launched only after its producers finished: a device whose producer
+  // failed, or that needs a row its producer never published, did not
+  // launch, whatever its cancelled or finished launch did, and its injector
+  // returns to where it stood before that launch. The deliveries up to the
+  // first unpublished row are priced and counted.
+  CommModel comm(config.comm, k);
+  for (int d = 0; d < k; ++d) {
+    Outcome& out = outcomes[static_cast<std::size_t>(d)];
+    DeviceStats& ds = dstats[static_cast<std::size_t>(d)];
+    const std::vector<Need>& my_needs = needs[static_cast<std::size_t>(d)];
+    Status bail;
+    for (const Need& need : my_needs) {
+      const Outcome& src = outcomes[static_cast<std::size_t>(need.src)];
+      if (!src.status.ok()) {
+        bail = DeadlockError(
+            "fleet device " + std::to_string(d) + ": upstream device " +
+            std::to_string(need.src) + " failed: " + src.status.message());
+        break;
+      }
+    }
+    for (std::size_t i = 0; bail.ok() && i < my_needs.size(); ++i) {
+      const Need& need = my_needs[i];
+      const std::uint64_t published =
+          outcomes[static_cast<std::size_t>(need.src)]
+              .publish_cycles[static_cast<std::size_t>(
+                  need.row - part.RowBegin(need.src))];
+      if (published == UINT64_MAX) {
+        // The producer finished but this row's flag never landed (dropped
+        // publish). On hardware the consumer would spin forever; fail fast
+        // with the same status the watchdog would eventually report.
+        bail = DeadlockError(
+            "fleet device " + std::to_string(d) + ": row " +
+            std::to_string(need.row) + " was never published by device " +
+            std::to_string(need.src) + " (dropped publish?)");
+        break;
+      }
+      const std::uint64_t arrival = comm.Deliver(need.src, d, published);
+      ++ds.in_messages;
+      ds.comm_bytes_in += config.comm.bytes_per_message;
+      ds.comm_delay_cycles += arrival - published;
+      ds.last_arrival_cycle = std::max(ds.last_arrival_cycle, arrival);
+    }
+    if (bail.ok()) {
+      if (out.status.ok()) {
+        ds.boundary_stall_cycles = std::min(ds.cycles, ds.last_arrival_cycle);
+      }
+      continue;
+    }
+    // Only a launch that consumed events is rewound: with one host thread a
+    // cancelled launch consumes none, and an injector shared with a later
+    // device keeps that device's events.
+    const auto& [before, after] = fault_marks[static_cast<std::size_t>(d)];
+    if (before != after) fleet_->fault_injector(d)->Rewind(before);
+    out = Outcome{bail, {}, {}, false};
+    ds.status = bail;
+    ds.launch = sim::LaunchStats{};
+    ds.cycles = 0;
+    ds.exec_ms = 0.0;
+  }
 
   // Outbound attribution (from the static needs lists — a consumer that
   // failed before delivery still *required* the rows).
@@ -397,13 +595,14 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
           // executor's own injector, with its offset scoped to the failed
           // range so global-row fault plans keep their meaning.
           build_arrivals(d, executor, arrivals);
+          kernels::KnownArrivals peers(arrivals);
           kernels::SolveOptions options;
           options.threads_per_block = config.threads_per_block;
           options.trace_sink = fleet_->trace_sink(executor);
           options.fault_injector = fleet_->fault_injector(executor);
           sim::ScopedTidOffset tid_guard(options.fault_injector, begin);
           auto range = kernels::SolveRangeOnDevice(
-              config.algorithm, lower, b, begin, end, arrivals,
+              config.algorithm, lower, b, begin, end, peers,
               fleet_->machine(executor), fleet_->memory(executor), options);
           // A dropped publish would starve the re-executed consumers
           // downstream: escalate.

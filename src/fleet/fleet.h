@@ -1,20 +1,37 @@
 // Multi-device sharded solving: K independent simulated GPUs solving one
 // triangular system, partitioned by contiguous row blocks.
 //
-// Execution model: every device starts at fleet cycle 0 and launches a
-// range variant of a Capellini thread-per-row kernel over its block. Local
-// dependencies resolve exactly as on one device; a dependency on an earlier
-// device's row arrives as a delayed external store (value + flag) at the
-// cycle the comm model charges, and the consumer row spins on the flag just
-// as it would for an on-device producer. Because the partition is
-// contiguous, dependencies only flow from lower-numbered to higher-numbered
-// devices, so the host drives device d after its producers d' < d — with
-// the PR-2 thread pool, overlapping independent devices.
+// Execution model (DESIGN.md §4f): every device starts at fleet cycle 0 and
+// launches a range variant of a Capellini thread-per-row kernel over its
+// block. Local dependencies resolve exactly as on one device; a dependency on
+// an earlier device's row arrives as a delayed external store (value + flag)
+// at the cycle the comm model charges, and the consumer row spins on the flag
+// just as it would for an on-device producer. The K launches run at the same
+// time, one host thread per device (co-simulation): device d simulates cycle
+// c once it knows every peer store landing at or before c. A store it does
+// not know yet lands at least CommModel::MinDelay() cycles (latency + wire,
+// 502 by default) after its producer's current cycle, so d runs ahead of each
+// producer it still waits on by up to that lookahead and blocks (without
+// spinning) when it gets there. Because the partition is contiguous, d waits
+// only on devices d' < d. A solve takes about as long as its slowest device,
+// not the sum of them.
 //
 // Determinism contract (gated by bench_fleet): the Capellini kernels drain
-// left_sum in strict CSR order, so computed values are timing-independent —
-// the fleet solution is byte-identical to the single-device solve for K=1
-// and byte-identical across host thread counts for any K.
+// left_sum in strict CSR order, so computed values are timing-independent,
+// and arrivals are priced per link in (source, row) order whatever order the
+// publishes happen in — the fleet solution is byte-identical to the
+// single-device solve for K=1, and solution, cycles, statuses and message
+// counts are byte-identical across host thread counts for any K. With
+// host_threads = 1 the devices run one after another in index order.
+//
+// Failure containment: a device whose producer failed, or whose producer
+// finished without publishing a row it needs (a dropped publish), is
+// cancelled mid-launch and ends with the outcome of a device that never
+// launched: kDeadlock with the upstream or never-published message,
+// launched = false, the messages delivered before the first unpublished row,
+// and its FaultInjector rewound to where it stood before the launch. One
+// difference remains: that device's TraceSink, if it has one, sees the
+// launch it ran before it was cancelled.
 #pragma once
 
 #include <memory>
@@ -43,8 +60,8 @@ namespace capellini::fleet {
 ///      is expected to succeed),
 ///   2. a designated survivor — the lowest-indexed device whose own
 ///      first-pass partition succeeded — via the same SolveRangeOnDevice
-///      path, replaying the checkpointed upstream boundary publishes
-///      through the ExternalStore seam,
+///      path, replaying the checkpointed upstream boundary publishes as a
+///      fully known arrival list (kernels::KnownArrivals),
 ///   3. the fault-immune host serial rung over just the failed rows
 ///      (kHostExecutor, the last executor of the same rung loop).
 ///
@@ -78,14 +95,16 @@ struct FleetConfig {
       kernels::DeviceAlgorithm::kCapelliniWritingFirst;
   int threads_per_block = 256;
   /// Host threads driving the devices; 0 = one per device. Any value gives
-  /// byte-identical solutions (see the determinism contract above).
+  /// byte-identical results (see the determinism contract above); 1 runs
+  /// the devices one after another.
   int host_threads = 0;
   FleetRecoveryOptions recovery;
 };
 
 /// Owns the K machines and their memories plus the per-device trace/fault
 /// seams (same contract as the single-machine setters: not owned, nullptr =
-/// off). A fleet is reusable across solves.
+/// off). Devices run at the same time, so give each device its own sink and
+/// injector. A fleet is reusable across solves.
 class DeviceFleet {
  public:
   explicit DeviceFleet(const FleetConfig& config);

@@ -31,6 +31,9 @@ struct DeviceStats {
   /// bench_fleet derives host_ns_per_sim_cycle from this per device. Not
   /// covered by determinism checksums: wall clock is never deterministic.
   double host_ms = 0.0;
+  /// HOST wall-clock milliseconds the device's thread spent blocked on a
+  /// producer during its launch (not part of host_ms).
+  double host_wait_ms = 0.0;
   /// Estimated share of Solver::CostHintMs() for this block (nnz-weighted) —
   /// what the partitioner balanced against.
   double est_cost_ms = 0.0;
@@ -87,8 +90,13 @@ struct FailoverRecord {
 struct FleetStats {
   std::vector<DeviceStats> devices;
 
-  std::int64_t cross_edges = 0;      // partition boundary size (messages)
-  std::uint64_t total_messages = 0;  // == cross_edges when all devices ran
+  /// Strictly-lower nonzeros whose column lies on another device: the
+  /// partition boundary size (CountCrossEdges).
+  std::int64_t cross_edges = 0;
+  /// Messages delivered: one per (remote row, consumer device), however many
+  /// of the consumer's rows read that row, so at most cross_edges. A device
+  /// that did not launch counts only the deliveries made before it stopped.
+  std::uint64_t total_messages = 0;
   std::uint64_t total_comm_bytes = 0;
 
   /// All devices start at fleet cycle 0; the makespan is the slowest

@@ -386,35 +386,72 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
 
 namespace {
 
-/// Resolves MarkPublish store addresses back to rows and records each local
-/// row's first publish cycle. Observation only — attached via MultiSink next
-/// to any caller-supplied sink.
-class PublishCaptureSink final : public trace::TraceSink {
+/// The machine's address-level view of a RangePeers: arrivals become x and
+/// get_value stores, and each landed publish of a local flag becomes a row,
+/// its x (already stored: the kernels write x before the flag) and the
+/// cycle, which is also recorded in `publish_cycles`.
+class RangeLink final : public sim::PeerLink {
  public:
-  PublishCaptureSink(sim::DevicePtr gv_base, Idx row_begin, Idx row_end,
-                     std::vector<std::uint64_t>* cycles)
-      : gv_base_(gv_base),
+  RangeLink(RangePeers& peers, const DeviceProblem& dev, Idx rows,
+            Idx row_begin, Idx row_end, const sim::DeviceMemory& memory,
+            std::vector<std::uint64_t>& publish_cycles)
+      : peers_(peers),
+        dev_(dev),
+        rows_(rows),
         row_begin_(row_begin),
         row_end_(row_end),
-        cycles_(cycles) {}
+        memory_(memory),
+        publish_cycles_(publish_cycles) {}
 
-  void OnPublish(const trace::PublishInfo& info) override {
-    if (info.addr < gv_base_) return;
-    const std::uint64_t row = (info.addr - gv_base_) / 4;
-    if (row < static_cast<std::uint64_t>(row_begin_) ||
-        row >= static_cast<std::uint64_t>(row_end_)) {
+  std::uint64_t expected_stores() const override {
+    return peers_.num_arrivals();
+  }
+
+  std::uint64_t Sync(std::uint64_t cycle,
+                     std::vector<sim::ExternalStore>& stores) override {
+    arrivals_.clear();
+    const std::uint64_t horizon = peers_.Sync(cycle, arrivals_);
+    if (horizon == RangePeers::kCancel) return sim::PeerLink::kCancel;
+    for (const RangeArrival& arrival : arrivals_) {
+      CAPELLINI_CHECK_MSG(arrival.row >= 0 && arrival.row < rows_ &&
+                              (arrival.row < row_begin_ ||
+                               arrival.row >= row_end_),
+                          "arrival row outside the remote range");
+      const auto row = static_cast<std::uint64_t>(arrival.row);
+      stores.push_back(sim::ExternalStore{.cycle = arrival.cycle,
+                                          .f64_addr = dev_.x + 8 * row,
+                                          .f64_value = arrival.value,
+                                          .i32_addr = dev_.get_value + 4 * row,
+                                          .i32_value = 1});
+    }
+    return horizon;
+  }
+
+  void OnPublish(std::uint64_t cycle, std::uint64_t addr) override {
+    const std::uint64_t first =
+        dev_.get_value + 4 * static_cast<std::uint64_t>(row_begin_);
+    if (addr < first ||
+        addr >= dev_.get_value + 4 * static_cast<std::uint64_t>(row_end_)) {
       return;
     }
-    std::uint64_t& slot =
-        (*cycles_)[row - static_cast<std::uint64_t>(row_begin_)];
-    if (slot == UINT64_MAX) slot = info.cycle;
+    std::uint64_t& slot = publish_cycles_[(addr - first) / 4];
+    if (slot != UINT64_MAX) return;
+    slot = cycle;
+    const Idx row = static_cast<Idx>((addr - dev_.get_value) / 4);
+    peers_.OnPublish(
+        row, memory_.LoadF64(dev_.x + 8 * static_cast<std::uint64_t>(row)),
+        cycle);
   }
 
  private:
-  sim::DevicePtr gv_base_;
+  RangePeers& peers_;
+  const DeviceProblem& dev_;
+  Idx rows_;
   Idx row_begin_;
   Idx row_end_;
-  std::vector<std::uint64_t>* cycles_;
+  const sim::DeviceMemory& memory_;
+  std::vector<std::uint64_t>& publish_cycles_;
+  std::vector<RangeArrival> arrivals_;
 };
 
 const sim::Kernel& CachedRangeKernel(DeviceAlgorithm algorithm) {
@@ -430,9 +467,8 @@ const sim::Kernel& CachedRangeKernel(DeviceAlgorithm algorithm) {
 
 Expected<RangeSolveResult> SolveRangeOnDevice(
     DeviceAlgorithm algorithm, const Csr& lower, std::span<const Val> b,
-    Idx row_begin, Idx row_end, std::span<const RangeArrival> arrivals,
-    sim::Machine& machine, sim::DeviceMemory& memory,
-    const SolveOptions& options_in) {
+    Idx row_begin, Idx row_end, RangePeers& peers, sim::Machine& machine,
+    sim::DeviceMemory& memory, const SolveOptions& options_in) {
   if (algorithm != DeviceAlgorithm::kCapelliniTwoPhase &&
       algorithm != DeviceAlgorithm::kCapelliniWritingFirst) {
     return InvalidArgument(
@@ -450,12 +486,6 @@ Expected<RangeSolveResult> SolveRangeOnDevice(
   if (row_begin < 0 || row_end > m || row_begin >= row_end) {
     return InvalidArgument("bad row range");
   }
-  for (const RangeArrival& arrival : arrivals) {
-    if (arrival.row < 0 || arrival.row >= m ||
-        (arrival.row >= row_begin && arrival.row < row_end)) {
-      return InvalidArgument("arrival row outside the remote range");
-    }
-  }
 
   memory.Reset();
   const DeviceProblem dev = UploadCsrProblem(lower, b, memory);
@@ -463,30 +493,13 @@ Expected<RangeSolveResult> SolveRangeOnDevice(
   params[kParamM] = row_end;      // global end of the local range
   params[kParamAux0] = row_begin; // local thread 0's global row
 
-  std::vector<sim::ExternalStore> stores;
-  stores.reserve(arrivals.size());
-  for (const RangeArrival& arrival : arrivals) {
-    sim::ExternalStore store;
-    store.cycle = arrival.cycle;
-    store.f64_addr =
-        dev.x + 8ull * static_cast<std::uint64_t>(arrival.row);
-    store.f64_value = arrival.value;
-    store.i32_addr =
-        dev.get_value + 4ull * static_cast<std::uint64_t>(arrival.row);
-    store.i32_value = 1;
-    stores.push_back(store);
-  }
-  machine.set_external_stores(std::move(stores));
-
   RangeSolveResult result;
   result.publish_cycles.assign(
       static_cast<std::size_t>(row_end - row_begin), UINT64_MAX);
-  PublishCaptureSink capture(dev.get_value, row_begin, row_end,
-                             &result.publish_cycles);
-  trace::MultiSink multi;
-  multi.Add(&capture);
-  multi.Add(options_in.trace_sink);
-  machine.set_trace_sink(&multi);
+  RangeLink link(peers, dev, m, row_begin, row_end, memory,
+                 result.publish_cycles);
+  machine.set_peer_link(&link);
+  machine.set_trace_sink(options_in.trace_sink);
   machine.set_fault_injector(options_in.fault_injector);
 
   const int threads_per_block =
@@ -496,6 +509,7 @@ Expected<RangeSolveResult> SolveRangeOnDevice(
                               {.num_threads = row_end - row_begin,
                                .threads_per_block = threads_per_block},
                               params);
+  machine.set_peer_link(nullptr);
   machine.set_trace_sink(nullptr);
   machine.set_fault_injector(nullptr);
   if (!stats.ok()) return stats.status();
@@ -504,17 +518,6 @@ Expected<RangeSolveResult> SolveRangeOnDevice(
   result.exec_ms = machine.config().CyclesToMs(result.stats.cycles);
   result.x.resize(static_cast<std::size_t>(m));
   memory.CopyFromDevice(std::span<Val>(result.x), dev.x);
-  // A dropped publish still fires OnPublish (the bandwidth was spent, the
-  // value wasn't), so the flag array is the ground truth: rows whose flag
-  // never landed stay UINT64_MAX regardless of the captured cycle.
-  std::vector<std::int32_t> flags(
-      static_cast<std::size_t>(row_end - row_begin));
-  memory.CopyFromDevice(
-      std::span<std::int32_t>(flags),
-      dev.get_value + 4ull * static_cast<std::uint64_t>(row_begin));
-  for (std::size_t i = 0; i < flags.size(); ++i) {
-    if (flags[i] == 0) result.publish_cycles[i] = UINT64_MAX;
-  }
   return result;
 }
 

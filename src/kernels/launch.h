@@ -4,6 +4,7 @@
 // solution together with the modeled performance counters.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -93,6 +94,44 @@ struct RangeArrival {
   std::uint64_t cycle = 0;    // arrival cycle
 };
 
+/// The remote side of a partitioned launch, in global rows: it delivers
+/// remote x-components while the launch runs and hears every local row the
+/// launch publishes. SolveRangeOnDevice turns it into the machine's
+/// sim::PeerLink; see that class for the Sync contract.
+class RangePeers {
+ public:
+  /// Sync's answer that cancels the launch.
+  static constexpr std::uint64_t kCancel = 0;
+
+  virtual ~RangePeers() = default;
+  /// Remote rows the launch receives in all.
+  virtual std::size_t num_arrivals() const = 0;
+  /// Appends the arrivals that became known and returns the horizon, or
+  /// kCancel (sim::PeerLink::Sync in rows).
+  virtual std::uint64_t Sync(std::uint64_t cycle,
+                             std::vector<RangeArrival>& arrivals) = 0;
+  /// Local `row`'s flag publish landed at `cycle`; `value` is its x.
+  virtual void OnPublish(Idx row, Val value, std::uint64_t cycle) = 0;
+};
+
+/// A fully known arrival list: all of it at the first Sync, with an
+/// unbounded horizon.
+class KnownArrivals final : public RangePeers {
+ public:
+  explicit KnownArrivals(std::span<const RangeArrival> arrivals)
+      : arrivals_(arrivals) {}
+  std::size_t num_arrivals() const override { return arrivals_.size(); }
+  std::uint64_t Sync(std::uint64_t /*cycle*/,
+                     std::vector<RangeArrival>& arrivals) override {
+    arrivals.insert(arrivals.end(), arrivals_.begin(), arrivals_.end());
+    return UINT64_MAX;
+  }
+  void OnPublish(Idx, Val, std::uint64_t) override {}
+
+ private:
+  std::span<const RangeArrival> arrivals_;
+};
+
 struct RangeSolveResult {
   /// Full-length solution image read back from the device; only entries in
   /// [row_begin, row_end) were computed here (the rest are zeros/arrivals).
@@ -101,24 +140,24 @@ struct RangeSolveResult {
   /// Simulated kernel execution time (includes launch overhead).
   double exec_ms = 0.0;
   /// Per LOCAL row (index row - row_begin): within-launch cycle at which the
-  /// row's flag publish executed, launch overhead excluded. UINT64_MAX when
+  /// row's flag publish landed, launch overhead excluded. UINT64_MAX when
   /// the publish never landed (dropped by fault injection) — consumers of
   /// that row would spin forever, so the fleet fails dependents fast.
   std::vector<std::uint64_t> publish_cycles;
 };
 
 /// Solves the global rows [row_begin, row_end) of lower * x = b on the given
-/// machine, with remote dependencies delivered as scheduled arrivals. Only
-/// the Capellini thread-per-row algorithms (kCapelliniTwoPhase,
+/// machine, with remote dependencies delivered by `peers` while the launch
+/// runs. Only the Capellini thread-per-row algorithms (kCapelliniTwoPhase,
 /// kCapelliniWritingFirst) are supported. The machine's memory is Reset()
-/// and re-uploaded; trace/fault seams come from `options` as usual. With
-/// row_begin = 0, row_end = rows and no arrivals, the computed values are
-/// bit-identical to SolveOnDevice (same per-row drain order).
+/// and re-uploaded; trace/fault seams come from `options` as usual, and an
+/// untraced launch runs with no trace sink. With row_begin = 0,
+/// row_end = rows and no arrivals, the computed values are bit-identical to
+/// SolveOnDevice (same per-row drain order).
 Expected<RangeSolveResult> SolveRangeOnDevice(
     DeviceAlgorithm algorithm, const Csr& lower, std::span<const Val> b,
-    Idx row_begin, Idx row_end, std::span<const RangeArrival> arrivals,
-    sim::Machine& machine, sim::DeviceMemory& memory,
-    const SolveOptions& options = {});
+    Idx row_begin, Idx row_end, RangePeers& peers, sim::Machine& machine,
+    sim::DeviceMemory& memory, const SolveOptions& options = {});
 
 // --- Multiple right-hand sides (SpTRSM) ------------------------------------
 

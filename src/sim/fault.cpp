@@ -54,6 +54,24 @@ FaultCounts FaultInjector::counts() const {
   return counts;
 }
 
+FaultInjector::Mark FaultInjector::mark() const {
+  Mark mark;
+  for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
+    mark.events[k] = events_[k].load(std::memory_order_relaxed);
+    mark.injected[k] = injected_[k].load(std::memory_order_relaxed);
+  }
+  mark.total_injected = total_injected_.load(std::memory_order_relaxed);
+  return mark;
+}
+
+void FaultInjector::Rewind(const Mark& mark) {
+  for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
+    events_[k].store(mark.events[k], std::memory_order_relaxed);
+    injected_[k].store(mark.injected[k], std::memory_order_relaxed);
+  }
+  total_injected_.store(mark.total_injected, std::memory_order_relaxed);
+}
+
 bool FaultInjector::InScope(std::int64_t tid, int span) const {
   if (tid < 0) return true;  // direct callers are scope-exempt
   const std::int64_t begin = tid + tid_offset_;

@@ -107,8 +107,9 @@ struct FaultCounts {
 /// across launches (a multi-launch level-set solve keeps advancing the same
 /// event counters); Reseed restarts the event stream for a fresh run.
 /// Counters are atomic so one injector can be observed while a solve runs,
-/// but decisions are only deterministic when a single Machine consumes them
-/// (the serial solve paths — which is where injection is used).
+/// but decisions are only deterministic when a single Machine consumes them:
+/// the serial solve paths, or one injector per device in a fleet, whose
+/// devices run at the same time on several host threads.
 class FaultInjector {
  public:
   FaultInjector() = default;
@@ -120,6 +121,21 @@ class FaultInjector {
 
   const FaultPlan& plan() const { return plan_; }
   FaultCounts counts() const;
+
+  /// A point in the event stream: every per-kind event and injection
+  /// counter.
+  struct Mark {
+    std::array<std::uint64_t, kNumFaultKinds> events{};
+    std::array<std::uint64_t, kNumFaultKinds> injected{};
+    std::uint64_t total_injected = 0;
+    bool operator==(const Mark&) const = default;
+  };
+  Mark mark() const;
+  /// Returns to `mark`: the events consumed since never happened, so the
+  /// next decisions are the ones that followed `mark`. The fleet rewinds a
+  /// device whose first-pass launch it discards, as if it had never
+  /// launched.
+  void Rewind(const Mark& mark);
 
   /// Added to the tids the Machine hands the hooks before the plan's scope is
   /// checked. A fleet device whose partition starts at global row R attaches

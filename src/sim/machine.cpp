@@ -511,6 +511,9 @@ void Machine::ExecuteInstruction(int warp_index, int sm_index) {
           if (faults_) faults_->MaybeFlipStoreBit(value, warp.base_tid + lane);
           memory_->StoreF64(addr, value);
         }
+        if (peers_ && (pc_flags & kPcPublish) != 0) {
+          peers_->OnPublish(cycle_, addr);
+        }
       });
       // Stores are fire-and-forget: account bandwidth, do not stall.
       (void)AccountMemory({addresses, count}, /*is_atomic=*/false);
@@ -721,20 +724,11 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
   alive_warps_ = 0;
   sm_slots_freed_ = false;
   WakeReset();
-  // Peer-device arrivals are applied in cycle order; they are consumed by
-  // this launch only (cleared on every exit path below).
-  std::sort(ext_.begin(), ext_.end(),
-            [](const ExternalStore& a, const ExternalStore& b) {
-              return a.cycle < b.cycle;
-            });
+  // Peer traffic: a linked launch syncs before its first cycle.
+  ext_.clear();
   ext_next_ = 0;
-  struct ExtClear {
-    Machine* machine;
-    ~ExtClear() {
-      machine->ext_.clear();
-      machine->ext_next_ = 0;
-    }
-  } ext_clear{this};
+  ext_expected_ = peers_ ? peers_->expected_stores() : 0;
+  horizon_ = peers_ ? 0 : std::numeric_limits<std::uint64_t>::max();
   // Lazy bitmap reset: only the words the previous launch touched are
   // nonzero, so re-launch cost is O(touched), not O(address space).
   for (const std::size_t word : l2_touched_words_) l2_sectors_[word] = 0;
@@ -853,6 +847,25 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
   dispatch();
 
   while (alive_warps_ > 0 || next_block < num_blocks) {
+    if (cycle_ >= horizon_) {
+      const std::size_t known = ext_.size();
+      horizon_ = peers_->Sync(cycle_, ext_);
+      if (horizon_ == PeerLink::kCancel) {
+        if (trace_) {
+          trace_->OnLaunchEnd(cycle_ + config_.launch_overhead_cycles);
+        }
+        return FailedPrecondition("kernel " + kernel.name +
+                                  " cancelled by its peer link at cycle " +
+                                  std::to_string(cycle_));
+      }
+      if (ext_.size() != known) {
+        std::sort(ext_.begin() + static_cast<std::ptrdiff_t>(ext_next_),
+                  ext_.end(),
+                  [](const ExternalStore& a, const ExternalStore& b) {
+                    return a.cycle < b.cycle;
+                  });
+      }
+    }
     // Apply peer-device stores whose arrival cycle has been reached. Applied
     // before any warp issues this cycle, so a poll load at cycle >= arrival
     // observes the flag — the same ordering an on-device producer gives. Each
@@ -877,7 +890,7 @@ Expected<LaunchStats> Machine::Launch(const Kernel& kernel, LaunchDims dims,
       }
       return DeadlockError(dump);
     }
-    if (ext_next_ >= ext_.size() &&
+    if (ext_next_ >= ext_expected_ &&
         cycle_ - last_progress_cycle_ > config_.no_progress_cycles) {
       // Diagnose: where are the surviving warps parked? A busy-wait deadlock
       // shows up as most warps clustered at the spin loop's PCs.

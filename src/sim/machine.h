@@ -61,6 +61,38 @@ struct ExternalStore {
   std::int32_t i32_value = 0;
 };
 
+/// Peer-device traffic of one launch: the seam through which the fleet runs
+/// K machines at once (DESIGN.md §4f). The link hands the machine stores as
+/// they become known, says how far the clock may run, can cancel the launch,
+/// and hears every publish store that landed. With no link attached the
+/// clock is unbounded and nothing arrives.
+class PeerLink {
+ public:
+  /// Sync's answer that cancels the launch (never a valid horizon, which is
+  /// always above the cycle asked about).
+  static constexpr std::uint64_t kCancel = 0;
+
+  virtual ~PeerLink() = default;
+
+  /// Stores this launch receives in all. Until that many have landed the
+  /// no-progress watchdog stays quiet: a warp spinning on a remote flag is
+  /// not a deadlock, however slow its producer.
+  virtual std::uint64_t expected_stores() const = 0;
+
+  /// Called when the machine is about to simulate `cycle` and the last
+  /// horizon does not cover it (first at cycle 0). Appends the stores that
+  /// became known, at any cycle not below the last horizon, and returns the
+  /// new horizon: every store landing below it is now known, so the machine
+  /// may simulate every cycle below it. May block until that is true.
+  /// Returns kCancel to end the launch.
+  virtual std::uint64_t Sync(std::uint64_t cycle,
+                             std::vector<ExternalStore>& stores) = 0;
+
+  /// A publish-annotated store to `addr` landed at `cycle`. Dropped
+  /// publishes are not reported.
+  virtual void OnPublish(std::uint64_t cycle, std::uint64_t addr) = 0;
+};
+
 /// One simulated device. Launch() runs a kernel to completion on a single
 /// interpreter core: every issue slot executes one warp-instruction through
 /// ExecuteInstruction. tests/golden_schedule_test.cpp pins the schedule.
@@ -83,17 +115,15 @@ class Machine {
   /// hazards it can inject.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
-  /// Schedules peer-device writes for the NEXT launch only (cleared when that
-  /// launch ends). Stores are applied when the simulated clock first reaches
-  /// their cycle; each application counts as forward progress, and the
-  /// no-progress watchdog will not trip while arrivals are still pending —
-  /// a warp legitimately spinning on a remote flag is not a deadlock.
-  void set_external_stores(std::vector<ExternalStore> stores) {
-    ext_ = std::move(stores);
-  }
+  /// Attaches the peer traffic of the following launches (nullptr = none,
+  /// the default; not owned). Stores are applied when the simulated clock
+  /// first reaches their cycle, before any warp issues in that cycle, and
+  /// each application counts as forward progress.
+  void set_peer_link(PeerLink* link) { peers_ = link; }
 
   /// Runs `kernel` to completion and returns its counters.
-  /// Fails with StatusCode::kDeadlock when the watchdog trips.
+  /// Fails with StatusCode::kDeadlock when the watchdog trips and with
+  /// kFailedPrecondition when the peer link cancels the launch.
   Expected<LaunchStats> Launch(const Kernel& kernel, LaunchDims dims,
                                std::span<const std::int64_t> params);
 
@@ -311,10 +341,15 @@ class Machine {
   // pointer test.
   FaultInjector* faults_ = nullptr;
 
-  // Scheduled peer-device writes (sorted by cycle at Launch; applied by the
-  // main loop). ext_next_ is the first not-yet-applied entry.
+  // Peer traffic (see PeerLink). ext_ holds the launch's known stores, the
+  // unapplied tail [ext_next_, end) sorted by cycle; ext_next_ also counts
+  // the stores applied so far. The link is asked for more when cycle_
+  // reaches horizon_ (unbounded without a link).
+  PeerLink* peers_ = nullptr;
   std::vector<ExternalStore> ext_;
   std::size_t ext_next_ = 0;
+  std::uint64_t ext_expected_ = 0;
+  std::uint64_t horizon_ = 0;
 };
 
 }  // namespace capellini::sim

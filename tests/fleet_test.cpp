@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/solver.h"
 #include "fleet/comm.h"
 #include "fleet/fleet.h"
+#include "fleet_fault_scenarios.h"
 #include "fleet/partition.h"
 #include "fleet/shard.h"
 #include "gen/banded.h"
@@ -182,14 +184,28 @@ TEST(FleetTest, MultiDeviceMatchesSingleDeviceBytes) {
   }
 }
 
+/// The simulated outcome of a fleet solve apart from x: the makespan, the
+/// message totals and every device's cycles and status.
+std::string SimulatedOutcome(const FleetResult& result) {
+  const FleetStats& stats = result.stats;
+  std::string out = result.status.ToString() +
+                    " makespan=" + std::to_string(stats.makespan_cycles) +
+                    " messages=" + std::to_string(stats.total_messages) +
+                    " bytes=" + std::to_string(stats.total_comm_bytes);
+  for (const DeviceStats& ds : stats.devices) {
+    out += " [" + std::to_string(ds.cycles) + ' ' + ds.status.ToString() + ']';
+  }
+  return out;
+}
+
 TEST(FleetTest, HostThreadCountNeverChangesResults) {
   const Csr lower = TestMatrix();
   const ReferenceProblem problem = MakeReferenceProblem(lower, 31);
   const Solver solver(lower, SolverOptions{.device = sim::TinyTestDevice()});
 
   std::vector<Val> reference;
-  std::uint64_t reference_makespan = 0;
-  for (const int host_threads : {1, 2, 8}) {
+  std::string reference_outcome;
+  for (const int host_threads : {1, 2, 4, 8}) {
     FleetConfig config = TestFleetConfig(4);
     config.host_threads = host_threads;
     DeviceFleet devices(config);
@@ -198,16 +214,66 @@ TEST(FleetTest, HostThreadCountNeverChangesResults) {
     ASSERT_TRUE(result->status.ok());
     if (reference.empty()) {
       reference = result->x;
-      reference_makespan = result->stats.makespan_cycles;
+      reference_outcome = SimulatedOutcome(*result);
     } else {
       // Bytes AND simulated timing: the comm schedule is fixed by the
       // partition, not by which host thread delivered a message first.
       EXPECT_TRUE(BytesEqual(result->x, reference))
           << "host_threads=" << host_threads;
-      EXPECT_EQ(result->stats.makespan_cycles, reference_makespan)
+      EXPECT_EQ(SimulatedOutcome(*result), reference_outcome)
           << "host_threads=" << host_threads;
     }
   }
+
+  // The same under faults: a killed device and a never-published row end
+  // the same way, and recover the same way, on any number of host threads.
+  for (const FleetFaultScenario& scenario : FleetFaultScenarios()) {
+    for (const bool recovery : {false, true}) {
+      std::vector<Val> fault_x;
+      std::string fault_outcome;
+      for (const int host_threads : {1, 2, 4, 8}) {
+        std::vector<sim::FaultInjector> injectors;
+        auto result =
+            RunFleetFaultScenario(scenario, host_threads, recovery, injectors);
+        ASSERT_TRUE(result.ok()) << scenario.name;
+        std::string outcome = SimulatedOutcome(*result);
+        for (const sim::FaultInjector& injector : injectors) {
+          outcome += " faults=" + std::to_string(injector.counts().total());
+        }
+        if (fault_outcome.empty()) {
+          EXPECT_FALSE(result->stats.devices[1].status.ok()) << scenario.name;
+          fault_x = result->x;
+          fault_outcome = outcome;
+        } else {
+          EXPECT_TRUE(BytesEqual(result->x, fault_x))
+              << scenario.name << " host_threads=" << host_threads;
+          EXPECT_EQ(outcome, fault_outcome)
+              << scenario.name << " host_threads=" << host_threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(FleetTest, MessagesAreDeduplicatedCrossEdgesAreNot) {
+  // Rows 3 and 4 both read row 0. Device 1 owns rows 3 and 4, so two
+  // nonzeros cross the cut but device 1 fetches x_0 once.
+  const Csr lower(5, 5, {0, 1, 3, 5, 7, 9}, {0, 0, 1, 1, 2, 0, 3, 0, 4},
+                  {2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0});
+  const ReferenceProblem problem = MakeReferenceProblem(lower, 5);
+  const Solver solver(lower, SolverOptions{.device = sim::TinyTestDevice()});
+  FleetConfig config = TestFleetConfig(2);
+  config.strategy = PartitionStrategy::kContiguousNnz;
+  DeviceFleet devices(config);
+  auto result = FleetSolver(&devices).Solve(solver, problem.b);
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result->status.ok());
+  ASSERT_EQ(result->partition.RowBegin(1), 3);
+  ASSERT_EQ(result->partition.RowEnd(1), 5);
+  EXPECT_EQ(result->stats.cross_edges, 2);
+  EXPECT_EQ(result->stats.total_messages, 1u);
+  EXPECT_EQ(result->stats.devices[1].in_messages, 1u);
+  EXPECT_EQ(result->stats.devices[0].out_messages, 1u);
 }
 
 TEST(FleetTest, EmptyBlocksSolveCleanly) {

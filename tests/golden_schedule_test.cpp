@@ -13,8 +13,10 @@
 // interleaved level structure: divergent; a random factor with empty rows)
 // and the reversed band as an upper factor; both multi-RHS kernels at the
 // serve coalescing width; the on-device level analysis; a two-device fleet
-// solve (boundary values arrive as external stores); the issue stream under
-// a TraceSink; a seeded fault plan; and the naive kernel's watchdog message.
+// solve (boundary values arrive as external stores); the first-pass and
+// recovery outcomes of two four-device fleet solves under faults; the issue
+// stream under a TraceSink; a seeded fault plan; and the naive kernel's
+// watchdog message.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +29,7 @@
 
 #include "core/solver.h"
 #include "fleet/fleet.h"
+#include "fleet_fault_scenarios.h"
 #include "gen/banded.h"
 #include "gen/level_structured.h"
 #include "gen/random_lower.h"
@@ -279,6 +282,60 @@ TEST(GoldenSchedule, FleetSolve) {
     }
   }
   ExpectGolden("fleet", actual);
+}
+
+/// A fleet solve under faults: per device the first-pass status, cycles,
+/// inbound messages, comm delay, last arrival and injected faults (in
+/// FaultKind order); the message totals; the failover ledger; the FNV of x.
+std::string FleetFaultRow(const Expected<fleet::FleetResult>& result,
+                          const std::vector<sim::FaultInjector>& injectors) {
+  if (!result.ok()) return ErrorRow(result);
+  const fleet::FleetStats& stats = result->stats;
+  std::ostringstream out;
+  for (std::size_t d = 0; d < stats.devices.size(); ++d) {
+    const fleet::DeviceStats& ds = stats.devices[d];
+    const sim::FaultCounts counts = injectors[d].counts();
+    out << 'd' << d << "=[" << ds.status.ToString() << " cycles=" << ds.cycles
+        << " in=" << ds.in_messages << " delay=" << ds.comm_delay_cycles
+        << " last=" << ds.last_arrival_cycle << " faults=";
+    for (int kind = 0; kind < sim::kNumFaultKinds; ++kind) {
+      out << (kind == 0 ? "" : "/")
+          << counts.injected[static_cast<std::size_t>(kind)];
+    }
+    out << "] ";
+  }
+  out << "messages=" << stats.total_messages
+      << " comm_bytes=" << stats.total_comm_bytes << " failovers=[";
+  for (const fleet::FailoverRecord& record : stats.failovers) {
+    out << " d" << record.device << " upstream=" << record.upstream_induced
+        << " attempts=";
+    for (std::size_t i = 0; i < record.attempts.size(); ++i) {
+      out << (i == 0 ? "" : ",") << record.attempts[i];
+    }
+    out << " recovered_on=" << record.recovered_on
+        << " verified=" << record.verified << ';';
+  }
+  out << " ] fnv=" << Hex(Fnv(result->x));
+  return out.str();
+}
+
+TEST(GoldenSchedule, FleetFaults) {
+  // Both scenarios with recovery off and on, once with a host thread per
+  // device and once with one thread: the rows must not depend on it.
+  for (const int host_threads : {0, 1}) {
+    Rows actual;
+    for (const FleetFaultScenario& scenario : FleetFaultScenarios()) {
+      for (const bool recovery : {false, true}) {
+        std::vector<sim::FaultInjector> injectors;
+        const auto result =
+            RunFleetFaultScenario(scenario, host_threads, recovery, injectors);
+        actual[std::string("tiny/") + scenario.name +
+               (recovery ? "/Fleet-K4-recovery" : "/Fleet-K4")] =
+            FleetFaultRow(result, injectors);
+      }
+    }
+    ExpectGolden("fleet_faults", actual);
+  }
 }
 
 /// Order-sensitive digest of the (cycle, pc) issue stream: a per-PC
