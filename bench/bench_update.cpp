@@ -22,6 +22,7 @@
 // BENCH_update.json from the update-smoke job).
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -214,7 +215,8 @@ std::vector<WinRow> RunIncrementalWins(Idx rows, int reps) {
   std::vector<WinRow> out;
   update::IncrementalAnalyzer analyzer;
   for (const auto& [name, lower] : workloads) {
-    const Analysis analysis = Analyze(lower, name);
+    const auto analysis =
+        std::make_shared<const Analysis>(Analyze(lower, name));
 
     // A persistent consumer graph so every structural row reports the
     // steady-state (patch, not rebuild) cost the registry pays.

@@ -19,10 +19,16 @@ Analysis Analyze(const Csr& lower, const std::string& name) {
 
 Analysis AssembleAnalysis(const Csr& lower, const std::string& name,
                           LevelSets levels) {
+  return AssembleAnalysis(lower, name, std::move(levels),
+                          RowLengthHistogram(lower));
+}
+
+Analysis AssembleAnalysis(const Csr& lower, const std::string& name,
+                          LevelSets levels, Log2Histogram row_lengths) {
   Analysis analysis;
   analysis.levels = std::move(levels);
   analysis.stats = ComputeStats(lower, name, &analysis.levels);
-  analysis.row_lengths = RowLengthHistogram(lower);
+  analysis.row_lengths = std::move(row_lengths);
   analysis.recommended = SelectAlgorithm(analysis.stats);
   return analysis;
 }

@@ -31,6 +31,11 @@ Analysis Analyze(const Csr& lower, const std::string& name);
 Analysis AssembleAnalysis(const Csr& lower, const std::string& name,
                           LevelSets levels);
 
+/// The same with the row-length histogram precomputed as well (a patched
+/// update epoch): what is left is the O(levels) stats and recommendation.
+Analysis AssembleAnalysis(const Csr& lower, const std::string& name,
+                          LevelSets levels, Log2Histogram row_lengths);
+
 /// Number of host Analyze() level sweeps since process start. Lets tests
 /// assert that warm (cache-rehydrated) or on-device registration paths run
 /// zero host analyses. AssembleAnalysis does not count.

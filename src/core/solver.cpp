@@ -90,16 +90,22 @@ Solver::~Solver() = default;
 
 const Analysis& Solver::analysis() const {
   std::call_once(analysis_once_, [this] {
-    analysis_ = std::make_unique<const Analysis>(
+    analysis_ = std::make_shared<const Analysis>(
         Analyze(lower_, "solver-matrix"));
     analyzed_.store(true, std::memory_order_release);
   });
   return *analysis_;
 }
 
-void Solver::SeedAnalysis(Analysis analysis) const {
+std::shared_ptr<const Analysis> Solver::SharedAnalysis() const {
+  analysis();
+  return analysis_;
+}
+
+void Solver::SeedAnalysis(std::shared_ptr<const Analysis> analysis) const {
+  CAPELLINI_CHECK(analysis != nullptr);
   std::call_once(analysis_once_, [this, &analysis] {
-    analysis_ = std::make_unique<const Analysis>(std::move(analysis));
+    analysis_ = std::move(analysis);
     analyzed_.store(true, std::memory_order_release);
   });
 }

@@ -100,13 +100,18 @@ class Solver {
   /// True once analysis() has run (i.e. further calls are cache hits).
   bool analyzed() const { return analyzed_.load(std::memory_order_acquire); }
 
+  /// The memoized analysis() as a shared, immutable object. The streaming-
+  /// update path (src/update) hands it to the next epoch's Solver, which
+  /// shares it outright when the batch left the sparsity alone.
+  std::shared_ptr<const Analysis> SharedAnalysis() const;
+
   /// Installs a precomputed analysis instead of running Analyze() on first
-  /// use — the streaming-update path (src/update) patches the previous
-  /// entry's analysis incrementally and seeds the replacement Solver with
-  /// it. The caller vouches that `analysis` describes matrix(). Same
-  /// once-flag as analysis(): if analysis already ran this is a no-op, so
-  /// seeding can never replace an analysis a reader is holding.
-  void SeedAnalysis(Analysis analysis) const;
+  /// use — the streaming-update path (src/update) shares or patches the
+  /// previous entry's analysis and seeds the replacement Solver with it.
+  /// The caller vouches that `analysis` describes matrix(). Same once-flag
+  /// as analysis(): if analysis already ran this is a no-op, so seeding can
+  /// never replace an analysis a reader is holding.
+  void SeedAnalysis(std::shared_ptr<const Analysis> analysis) const;
 
   /// Structural indicators (levels, alpha/beta/delta). Views into the
   /// memoized analysis(); the level sets are reused by the level-set
@@ -147,7 +152,7 @@ class Solver {
   Csr lower_;
   SolverOptions options_;
   mutable std::once_flag analysis_once_;
-  mutable std::unique_ptr<const Analysis> analysis_;
+  mutable std::shared_ptr<const Analysis> analysis_;
   mutable std::atomic<bool> analyzed_{false};
 };
 

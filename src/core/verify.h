@@ -2,14 +2,15 @@
 //
 // The simulated device can now fail the way real GPUs fail (sim/fault.h):
 // a solve may deadlock, or — worse — complete with a silently corrupted
-// solution. VerifySolution is the cheap detector: an O(nnz) NaN/Inf guard
-// plus the relative infinity-norm residual
+// solution. VerifySolution is the cheap detector: a NaN/Inf guard plus the
+// relative infinity-norm residual
 //
 //     ||L x - b||_inf / (||L||_inf ||x||_inf + ||b||_inf)
 //
-// against a configurable bound. It is one matrix-vector pass — small next to
-// any solve that walked the same nonzeros with spin-waits in the loop
-// (bench_faults reports the measured overhead).
+// against a configurable bound. It is one read each of x and b (norm and
+// finiteness together) and one matrix-vector pass — small next to any solve
+// that walked the same nonzeros with spin-waits in the loop (bench_faults
+// reports the measured overhead).
 //
 // Solver::SolveReliable builds the recovery policy on top: verify after
 // every solve, and on failure (bad residual, non-finite values, or a
@@ -38,11 +39,12 @@ struct VerifyOptions {
 };
 
 struct Verification {
-  /// Every component of x is finite (no NaN/Inf).
+  /// Every component of x in the checked rows is finite (no NaN/Inf).
   bool finite = false;
-  /// Relative infinity-norm residual; +inf when x is non-finite.
+  /// Relative infinity-norm residual; +inf when x is non-finite in the
+  /// checked rows or ||x||_inf or ||b||_inf is infinite.
   double residual = 0.0;
-  /// finite && residual <= bound.
+  /// residual <= bound (never true when residual is +inf).
   bool passed = false;
 };
 
@@ -59,6 +61,12 @@ Verification VerifySolution(const Csr& lower, std::span<const Val> b,
 /// failover path uses it to accept or reject one recovered partition at a
 /// time without paying a whole-matrix pass per ladder rung. With
 /// row_begin = 0 and row_end = rows it is exactly VerifySolution.
+///
+/// An infinite value anywhere in x or b fails every block, because an
+/// infinite ||x||_inf or ||b||_inf would scale any block residual to 0: the
+/// block reports residual +inf and passed false, with `finite` still true
+/// when its own x values are finite. A NaN outside the block does not enter
+/// the norms and counts only in the rows that read it.
 Verification VerifyRange(const Csr& lower, std::span<const Val> b,
                          std::span<const Val> x, Idx row_begin, Idx row_end,
                          const VerifyOptions& options = {});

@@ -472,7 +472,8 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
     // values are wrong only because a corrupt UPSTREAM poisoned its inputs
     // passes this check — its hardware is fine and it stays eligible, even
     // though the sequential scan below will still recover its range against
-    // the repaired image.
+    // the repaired image. An infinite value anywhere in the image fails
+    // every range (VerifyRange's rule), so then no survivor is designated.
     std::vector<bool> survivor_ok = launch_ok;
     std::vector<Val> first_pass(static_cast<std::size_t>(m), 0.0);
     for (int d = 0; d < k; ++d) {

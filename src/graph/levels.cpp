@@ -38,6 +38,84 @@ LevelSets BuildLevelSetsFromLevelOf(std::vector<Idx> level_of) {
   return sets;
 }
 
+LevelSets PatchLevelSets(const LevelSets& before, std::vector<Idx> level_of,
+                         std::span<const Idx> moved) {
+  CAPELLINI_CHECK(level_of.size() == before.level_of.size());
+  const Idx old_levels = before.num_levels();
+
+  // Every moved row leaves one level and joins another. As (level, row,
+  // joins) sorted, the events of one level are contiguous and ascending.
+  struct Event {
+    Idx level;
+    Idx row;
+    bool joins;
+    bool operator<(const Event& other) const {
+      return level != other.level ? level < other.level : row < other.row;
+    }
+  };
+  std::vector<Event> events;
+  events.reserve(2 * moved.size());
+  Idx top = old_levels;
+  for (const Idx row : moved) {
+    const Idx from = before.level_of[static_cast<std::size_t>(row)];
+    const Idx to = level_of[static_cast<std::size_t>(row)];
+    CAPELLINI_CHECK_MSG(from != to,
+                        "PatchLevelSets: a moved row kept its level");
+    events.push_back({from, row, false});
+    events.push_back({to, row, true});
+    top = std::max(top, to + 1);
+  }
+  std::sort(events.begin(), events.end());
+
+  std::vector<Idx> size(static_cast<std::size_t>(top), 0);
+  for (Idx k = 0; k < old_levels; ++k) {
+    size[static_cast<std::size_t>(k)] = before.LevelSize(k);
+  }
+  for (const Event& e : events) {
+    size[static_cast<std::size_t>(e.level)] += e.joins ? 1 : -1;
+  }
+  // A valid assignment occupies levels 0..max without gaps, so only the top
+  // can have emptied.
+  while (top > 0 && size[static_cast<std::size_t>(top) - 1] == 0) --top;
+
+  LevelSets sets;
+  sets.level_of = std::move(level_of);
+  sets.level_ptr.assign(static_cast<std::size_t>(top) + 1, 0);
+  for (Idx k = 0; k < top; ++k) {
+    sets.level_ptr[static_cast<std::size_t>(k) + 1] =
+        sets.level_ptr[static_cast<std::size_t>(k)] +
+        size[static_cast<std::size_t>(k)];
+  }
+  CAPELLINI_CHECK(sets.level_ptr.back() ==
+                  static_cast<Idx>(sets.level_of.size()));
+
+  // Each new run is its old run copied in whole segments: a leaving row is
+  // found by binary search and skipped, a joining row is written where the
+  // ascending order puts it.
+  sets.order.reserve(sets.level_of.size());
+  auto event = events.cbegin();
+  for (Idx k = 0; k < top; ++k) {
+    const std::span<const Idx> run =
+        k < old_levels ? before.LevelRows(k) : std::span<const Idx>();
+    auto copied = run.begin();
+    for (; event != events.cend() && event->level == k; ++event) {
+      const auto at = std::lower_bound(copied, run.end(), event->row);
+      sets.order.insert(sets.order.end(), copied, at);
+      copied = at;
+      if (event->joins) {
+        sets.order.push_back(event->row);
+      } else {
+        CAPELLINI_CHECK(copied != run.end() && *copied == event->row);
+        ++copied;
+      }
+    }
+    sets.order.insert(sets.order.end(), copied, run.end());
+    CAPELLINI_CHECK(static_cast<Idx>(sets.order.size()) ==
+                    sets.level_ptr[static_cast<std::size_t>(k) + 1]);
+  }
+  return sets;
+}
+
 LevelSets ComputeLevelSets(const Csr& lower) {
   CAPELLINI_CHECK_MSG(lower.IsLowerTriangularWithDiagonal(),
                       "level sets need a lower-triangular matrix with diagonal");

@@ -50,6 +50,19 @@ LevelSets ComputeLevelSets(const Csr& lower);
 /// bit-identical LevelSets by construction.
 LevelSets BuildLevelSetsFromLevelOf(std::vector<Idx> level_of);
 
+/// The level sets after some rows changed level, patched from `before`
+/// instead of counting-sorted again. `level_of` is the complete new
+/// assignment (a valid one: every row above level 0 depends on a row one
+/// level down), and `moved` lists, without duplicates, exactly the rows
+/// whose level differs from before.level_of. Only those rows move between the
+/// per-level runs of `order`; every run keeps ascending row order and levels
+/// can appear or empty at the top, so the result equals
+/// BuildLevelSetsFromLevelOf(level_of). Cost: one sequential copy of
+/// `order` in whole segments plus O(|moved| log n + levels), against the
+/// counting sort's scattered writes.
+LevelSets PatchLevelSets(const LevelSets& before, std::vector<Idx> level_of,
+                         std::span<const Idx> moved);
+
 /// Builds the level-GATHERED copy of the matrix used by level-set solvers:
 /// row k of the result is row order[k] of `lower` (rows of one level become
 /// contiguous, so threads of one level launch read neighbouring rows).

@@ -73,14 +73,19 @@ MatrixStats ComputeStats(const Csr& lower, const std::string& name,
 
 namespace {
 
-void AddValue(Log2Histogram& histogram, Idx value) {
+/// The count of `value`'s bucket, with `counts` grown to reach it.
+std::int64_t& BucketCount(Log2Histogram& histogram, Idx value) {
   CAPELLINI_CHECK(value >= 1);
-  const int bucket =
-      std::bit_width(static_cast<std::uint32_t>(value)) - 1;  // floor(log2)
-  if (histogram.counts.size() <= static_cast<std::size_t>(bucket)) {
-    histogram.counts.resize(static_cast<std::size_t>(bucket) + 1, 0);
+  const auto bucket = static_cast<std::size_t>(
+      std::bit_width(static_cast<std::uint32_t>(value)) - 1);  // floor(log2)
+  if (histogram.counts.size() <= bucket) {
+    histogram.counts.resize(bucket + 1, 0);
   }
-  ++histogram.counts[static_cast<std::size_t>(bucket)];
+  return histogram.counts[bucket];
+}
+
+void AddValue(Log2Histogram& histogram, Idx value) {
+  ++BucketCount(histogram, value);
   ++histogram.total;
   if (histogram.total == 1) {
     histogram.min_value = value;
@@ -125,6 +130,53 @@ std::string Log2Histogram::ToString() const {
 Log2Histogram RowLengthHistogram(const Csr& lower) {
   Log2Histogram histogram;
   for (Idx r = 0; r < lower.rows(); ++r) AddValue(histogram, lower.RowLen(r));
+  return histogram;
+}
+
+Log2Histogram PatchRowLengthHistogram(const Log2Histogram& before,
+                                      const Csr& before_matrix,
+                                      const Csr& after,
+                                      std::span<const Idx> edited) {
+  CAPELLINI_CHECK(before_matrix.rows() == after.rows());
+  Log2Histogram histogram = before;
+  bool min_vacated = false;
+  bool max_vacated = false;
+  for (const Idx row : edited) {
+    const Idx from = before_matrix.RowLen(row);
+    const Idx to = after.RowLen(row);
+    if (from == to) continue;
+    --BucketCount(histogram, from);
+    ++BucketCount(histogram, to);
+    min_vacated |= from == before.min_value && to > from;
+    max_vacated |= from == before.max_value && to < from;
+    histogram.min_value = std::min(histogram.min_value, to);
+    histogram.max_value = std::max(histogram.max_value, to);
+  }
+
+  // A row that still holds the old extreme keeps it (rows outside `edited`
+  // kept their lengths, and the edited rows' new lengths are folded in
+  // above); with none left, the extreme comes from a full pass.
+  const Idx rows = after.rows();
+  const auto holds = [&](Idx length) {
+    for (Idx r = 0; r < rows; ++r) {
+      if (after.RowLen(r) == length) return true;
+    }
+    return false;
+  };
+  if ((min_vacated && !holds(before.min_value)) ||
+      (max_vacated && !holds(before.max_value))) {
+    histogram.min_value = after.RowLen(0);
+    histogram.max_value = histogram.min_value;
+    for (Idx r = 1; r < rows; ++r) {
+      histogram.min_value = std::min(histogram.min_value, after.RowLen(r));
+      histogram.max_value = std::max(histogram.max_value, after.RowLen(r));
+    }
+  }
+  // Counts end at the longest row's bucket, as RowLengthHistogram sizes
+  // them; a shrunk longest row can leave empty buckets above its new one.
+  while (!histogram.counts.empty() && histogram.counts.back() == 0) {
+    histogram.counts.pop_back();
+  }
   return histogram;
 }
 

@@ -2,6 +2,7 @@
 // "parallel granularity" metric (Equation 1).
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "graph/levels.h"
@@ -69,6 +70,17 @@ struct Log2Histogram {
 
 /// Distribution of row lengths (nnz per row, diagonal included).
 Log2Histogram RowLengthHistogram(const Csr& lower);
+
+/// RowLengthHistogram(after), patched from `before` =
+/// RowLengthHistogram(before_matrix). `edited` lists, without duplicates,
+/// every row whose length may differ between the two matrices; only those
+/// rows move between buckets. When an edit may have vacated the shortest
+/// or longest length, that extreme is looked up again: a scan that stops at
+/// the first row still holding it, or one full pass when no row does.
+Log2Histogram PatchRowLengthHistogram(const Log2Histogram& before,
+                                      const Csr& before_matrix,
+                                      const Csr& after,
+                                      std::span<const Idx> edited);
 
 /// Distribution of level sizes (components per level).
 Log2Histogram LevelSizeHistogram(const LevelSets& levels);

@@ -87,9 +87,10 @@ void MatrixRegistry::AnalyzeEntry(Entry& entry) {
       // Warm path: rebuild level_ptr/order from the persisted level_of (the
       // same counting sort every producer shares), derive the cheap stats
       // tail, and seed — zero host Analyze() level sweeps.
-      entry.solver.SeedAnalysis(AssembleAnalysis(
-          entry.solver.matrix(), entry.name,
-          BuildLevelSetsFromLevelOf(std::move(persisted->level_of))));
+      entry.solver.SeedAnalysis(std::make_shared<const Analysis>(
+          AssembleAnalysis(entry.solver.matrix(), entry.name,
+                           BuildLevelSetsFromLevelOf(
+                               std::move(persisted->level_of)))));
       entry.analysis_ms = timer.ElapsedMs();
       entry.cost.seed_ms_ = persisted->cost_seed_ms;
       std::lock_guard<std::mutex> lock(mutex_);
@@ -106,9 +107,9 @@ void MatrixRegistry::AnalyzeEntry(Entry& entry) {
                                            entry.solver.options().device);
     if (device.ok()) {
       entry.analysis_ms = device->exec_ms + device->host_ms;
-      entry.solver.SeedAnalysis(AssembleAnalysis(entry.solver.matrix(),
-                                                 entry.name,
-                                                 std::move(device->levels)));
+      entry.solver.SeedAnalysis(std::make_shared<const Analysis>(
+          AssembleAnalysis(entry.solver.matrix(), entry.name,
+                           std::move(device->levels))));
       on_device = true;
     }
     // On failure (a faulted device starving the propagation kernel) fall
@@ -215,8 +216,8 @@ Expected<UpdateReport> MatrixRegistry::ApplyDelta(
     graph = old->consumers.get();
   }
   Expected<update::UpdateResult> applied =
-      analyzer_.Apply(old->solver.matrix(), old->solver.analysis(), batch,
-                      graph);
+      analyzer_.Apply(old->solver.matrix(), old->solver.SharedAnalysis(),
+                      batch, graph);
   if (!applied.ok()) return applied.status();  // graph untouched on rejection
   update::UpdateResult result = std::move(applied).value();
 

@@ -55,7 +55,7 @@ class DeltaBatch {
   bool empty() const { return deltas_.empty(); }
 
   /// True when no delta changes the sparsity pattern — the fast path that
-  /// reuses the whole analysis untouched.
+  /// shares the whole analysis untouched.
   bool value_only() const;
   std::size_t structural_count() const;
 

@@ -4,7 +4,6 @@
 #include <functional>
 #include <utility>
 
-#include "core/select.h"
 #include "support/timer.h"
 
 namespace capellini::update {
@@ -47,10 +46,10 @@ void ConsumerGraph::ApplyStructural(const DeltaBatch& batch) {
   }
 }
 
-Expected<UpdateResult> IncrementalAnalyzer::Apply(const Csr& lower,
-                                                  const Analysis& analysis,
-                                                  const DeltaBatch& batch,
-                                                  ConsumerGraph* consumers) {
+Expected<UpdateResult> IncrementalAnalyzer::Apply(
+    const Csr& lower, std::shared_ptr<const Analysis> analysis,
+    const DeltaBatch& batch, ConsumerGraph* consumers) {
+  CAPELLINI_CHECK(analysis != nullptr);
   Timer timer;
   Expected<Csr> mutated = ApplyToMatrix(lower, batch);
   if (!mutated.ok()) return mutated.status();
@@ -61,9 +60,9 @@ Expected<UpdateResult> IncrementalAnalyzer::Apply(const Csr& lower,
 
   if (batch.value_only()) {
     // Sparsity unchanged: levels, histograms and the recommendation are all
-    // functions of structure alone — reuse the whole analysis.
+    // functions of structure alone — share the whole analysis.
     result.value_only = true;
-    result.analysis = analysis;
+    result.analysis = std::move(analysis);
     result.update_ms = timer.ElapsedMs();
     return result;
   }
@@ -79,8 +78,8 @@ Expected<UpdateResult> IncrementalAnalyzer::Apply(const Csr& lower,
   consumers->ApplyStructural(batch);
 
   Timer analysis_timer;
-  LevelSets levels;
-  levels.level_of = analysis.levels.level_of;
+  const Analysis& before = *analysis;
+  std::vector<Idx> level_of = before.levels.level_of;
 
   // Min-ordered worklist seeded with the structurally edited rows. Pops come
   // out ascending (every push targets a consumer, i.e. a larger row), so by
@@ -90,15 +89,18 @@ Expected<UpdateResult> IncrementalAnalyzer::Apply(const Csr& lower,
   // smaller row, which is processed before the row is popped, so each cone
   // row is recomputed exactly once.
   heap_.clear();
+  edited_.clear();
+  moved_.clear();
   queued_.assign(static_cast<std::size_t>(n), false);
   const auto push = [&](Idx row) {
-    if (queued_[static_cast<std::size_t>(row)]) return;
+    if (queued_[static_cast<std::size_t>(row)]) return false;
     queued_[static_cast<std::size_t>(row)] = true;
     heap_.push_back(row);
     std::push_heap(heap_.begin(), heap_.end(), std::greater<Idx>());
+    return true;
   };
   for (const Delta& d : batch.deltas()) {
-    if (d.kind != DeltaKind::kValue) push(d.row);
+    if (d.kind != DeltaKind::kValue && push(d.row)) edited_.push_back(d.row);
   }
 
   while (!heap_.empty()) {
@@ -110,21 +112,22 @@ Expected<UpdateResult> IncrementalAnalyzer::Apply(const Csr& lower,
     Idx level = 0;
     const auto cols = result.matrix.RowCols(i);
     for (std::size_t j = 0; j + 1 < cols.size(); ++j) {
-      level = std::max(level,
-                       levels.level_of[static_cast<std::size_t>(cols[j])] + 1);
+      level = std::max(level, level_of[static_cast<std::size_t>(cols[j])] + 1);
     }
-    if (level == levels.level_of[static_cast<std::size_t>(i)]) continue;
-    levels.level_of[static_cast<std::size_t>(i)] = level;
+    if (level == level_of[static_cast<std::size_t>(i)]) continue;
+    level_of[static_cast<std::size_t>(i)] = level;
+    moved_.push_back(i);
     for (const Idx k : consumers->Consumers(i)) push(k);
   }
 
-  // Rebuild level_ptr/order with the shared counting sort (ties in ascending
-  // row order) so the patched analysis is indistinguishable from the
-  // from-scratch oracle, then derive the cheap stats tail the same way
-  // AssembleAnalysis does.
-  result.analysis = AssembleAnalysis(result.matrix, analysis.stats.name,
-                                     BuildLevelSetsFromLevelOf(
-                                         std::move(levels.level_of)));
+  // Patch the previous analysis: only the moved rows change level runs and
+  // only the edited rows change row-length buckets; the stats tail is
+  // derived the same way AssembleAnalysis does for the from-scratch oracle.
+  result.analysis = std::make_shared<const Analysis>(AssembleAnalysis(
+      result.matrix, before.stats.name,
+      PatchLevelSets(before.levels, std::move(level_of), moved_),
+      PatchRowLengthHistogram(before.row_lengths, lower, result.matrix,
+                              edited_)));
   result.analysis_ms = analysis_timer.ElapsedMs();
   result.update_ms = timer.ElapsedMs();
   return result;

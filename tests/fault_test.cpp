@@ -2,18 +2,26 @@
 // contract, and the self-healing solve pipeline built on top.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "core/solver.h"
 #include "core/verify.h"
 #include "gen/banded.h"
+#include "gen/random_lower.h"
 #include "matrix/triangular.h"
 #include "sim/config.h"
 #include "sim/fault.h"
 #include "support/json.h"
+#include "support/rng.h"
 
 namespace capellini {
 namespace {
@@ -344,6 +352,172 @@ TEST(VerifyTest, NanAndPerturbationFail) {
   std::vector<Val> perturbed = problem.x_true;
   perturbed[10] *= 2.0;  // what an exponent-bit flip does
   EXPECT_FALSE(VerifySolution(matrix, problem.b, perturbed).passed);
+}
+
+// An infinite value outside the checked rows makes a scaling norm infinite,
+// which would scale every residual of the block to 0 and pass a wrong
+// block, so the block fails with an infinite residual; `finite` still
+// describes the block alone. A NaN outside the block skips the norms.
+TEST(VerifyTest, InfiniteValueOutsideTheRangeFailsIt) {
+  const Csr identity(4, 4, {0, 1, 2, 3, 4}, {0, 1, 2, 3}, {1, 1, 1, 1});
+  const std::vector<Val> b(4, 1.0);
+  std::vector<Val> x = {2.0, 1.0, 1.0, 1.0};
+  const Verification wrong = VerifyRange(identity, b, x, 0, 2);
+  EXPECT_TRUE(wrong.finite);
+  EXPECT_FALSE(wrong.passed);
+  EXPECT_DOUBLE_EQ(wrong.residual, 1.0 / 3.0);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Val poison : {inf, -inf}) {
+    x[3] = poison;
+    const Verification v = VerifyRange(identity, b, x, 0, 2);
+    EXPECT_TRUE(v.finite) << poison;
+    EXPECT_FALSE(v.passed) << poison;
+    EXPECT_EQ(v.residual, inf) << poison;
+  }
+  x[3] = std::nan("");
+  EXPECT_FALSE(VerifyRange(identity, b, x, 0, 2).passed);
+  EXPECT_DOUBLE_EQ(VerifyRange(identity, b, x, 0, 2).residual, 1.0 / 3.0);
+
+  // A right block fails too while x or b holds an infinite value, and passes
+  // beside a NaN it does not read.
+  x = {1.0, 1.0, 1.0, inf};
+  EXPECT_FALSE(VerifyRange(identity, b, x, 0, 2).passed);
+  x[3] = std::nan("");
+  EXPECT_TRUE(VerifyRange(identity, b, x, 0, 2).passed);
+  x[3] = 1.0;
+  EXPECT_TRUE(VerifyRange(identity, b, x, 0, 2).passed);
+  std::vector<Val> poisoned_b = b;
+  poisoned_b[3] = -inf;
+  const Verification v = VerifyRange(identity, poisoned_b, x, 0, 2);
+  EXPECT_TRUE(v.finite);
+  EXPECT_FALSE(v.passed);
+  EXPECT_EQ(v.residual, inf);
+  poisoned_b[3] = std::nan("");
+  EXPECT_TRUE(VerifyRange(identity, poisoned_b, x, 0, 2).passed);
+}
+
+/// VerifyRange as a sequential fold: a finiteness pass over the block, then
+/// one max pass each over x and b. Kept as the reference the single-read
+/// vector scans must reproduce bit for bit.
+Verification SequentialVerifyRange(const Csr& lower, std::span<const Val> b,
+                                   std::span<const Val> x, Idx row_begin,
+                                   Idx row_end, double bound) {
+  Verification v;
+  v.finite = true;
+  for (Idx i = row_begin; i < row_end; ++i) {
+    if (!std::isfinite(x[static_cast<std::size_t>(i)])) {
+      v.finite = false;
+      v.residual = std::numeric_limits<double>::infinity();
+      return v;
+    }
+  }
+  double x_inf = 0.0;
+  for (const Val value : x) x_inf = std::max(x_inf, std::abs(value));
+  double b_inf = 0.0;
+  for (const Val value : b) b_inf = std::max(b_inf, std::abs(value));
+  double residual_inf = 0.0;
+  double matrix_inf = 0.0;
+  for (Idx i = row_begin; i < row_end; ++i) {
+    double row_sum = 0.0;
+    double row_abs = 0.0;
+    const auto cols = lower.RowCols(i);
+    const auto vals = lower.RowVals(i);
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      row_sum += vals[k] * x[static_cast<std::size_t>(cols[k])];
+      row_abs += std::abs(vals[k]);
+    }
+    residual_inf = std::max(
+        residual_inf, std::abs(row_sum - b[static_cast<std::size_t>(i)]));
+    matrix_inf = std::max(matrix_inf, row_abs);
+  }
+  const double denom = matrix_inf * x_inf + b_inf;
+  v.residual = denom > 0.0 ? residual_inf / denom : residual_inf;
+  v.passed = v.finite && v.residual <= bound;
+  return v;
+}
+
+bool HasInf(std::span<const Val> values) {
+  return std::any_of(values.begin(), values.end(),
+                     [](Val value) { return std::isinf(value); });
+}
+
+bool HasNan(std::span<const Val> values) {
+  return std::any_of(values.begin(), values.end(),
+                     [](Val value) { return std::isnan(value); });
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// Random factors, ranges and vectors with NaN, ±inf, -0.0 and subnormals at
+// random places. Every verdict equals the sequential fold's, residual bits
+// included, except where an infinite value outside the block made the
+// fold's norm infinite: there the block now fails with an infinite residual.
+TEST(VerifyTest, VectorScansMatchTheSequentialFold) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Val specials[] = {std::nan(""),
+                          -std::nan(""),
+                          inf,
+                          -inf,
+                          -0.0,
+                          0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          -4.9e-310,
+                          std::numeric_limits<double>::max()};
+  Rng rng(2024);
+  int changed = 0;
+  int compared = 0;
+  int compared_with_nan = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const Idx n = static_cast<Idx>(rng.NextInt(1, 67));
+    Csr lower = MakeRandomLower({.rows = n,
+                                 .avg_strict_nnz_per_row = 2.0,
+                                 .window = 0,
+                                 .empty_row_fraction = 0.2,
+                                 .seed = rng.Next()});
+    for (Val& a : lower.mutable_val()) {
+      if (rng.NextBool(0.05)) a = -0.0;
+      if (rng.NextBool(0.05)) a = 4.9e-320;
+    }
+    std::vector<Val> x(static_cast<std::size_t>(n));
+    std::vector<Val> b(static_cast<std::size_t>(n));
+    for (Val& value : x) value = rng.NextDouble(-4.0, 4.0);
+    for (Val& value : b) value = rng.NextDouble(-4.0, 4.0);
+    // A third of the trials stay all finite; the rest plant a few specials.
+    const int plants = trial % 3 == 0 ? 0 : static_cast<int>(rng.NextInt(1, 4));
+    for (int p = 0; p < plants; ++p) {
+      std::vector<Val>& target = rng.NextBool(0.7) ? x : b;
+      target[rng.NextBounded(target.size())] =
+          specials[rng.NextBounded(std::size(specials))];
+    }
+    const Idx begin = static_cast<Idx>(rng.NextInt(0, n));
+    const Idx end = static_cast<Idx>(rng.NextInt(begin, n));
+    const double bound = rng.NextBool(0.5) ? 1e-8 : 0.5;
+
+    VerifyOptions options;
+    options.residual_bound = bound;
+    const Verification got = VerifyRange(lower, b, x, begin, end, options);
+    const Verification want =
+        SequentialVerifyRange(lower, b, x, begin, end, bound);
+    EXPECT_EQ(got.finite, want.finite) << "trial " << trial;
+    if (want.finite && (HasInf(x) || HasInf(b))) {
+      ++changed;
+      EXPECT_FALSE(got.passed) << "trial " << trial;
+      EXPECT_EQ(got.residual, inf) << "trial " << trial;
+      continue;
+    }
+    ++compared;
+    compared_with_nan += want.finite && (HasNan(x) || HasNan(b));
+    EXPECT_EQ(got.passed, want.passed) << "trial " << trial;
+    EXPECT_EQ(Bits(got.residual), Bits(want.residual))
+        << "trial " << trial << ": " << got.residual << " vs "
+        << want.residual;
+  }
+  // Both branches ran often enough to mean something, and the bit-exact one
+  // also with a NaN outside the checked rows.
+  EXPECT_GT(changed, 50) << changed;
+  EXPECT_GT(compared, 200) << compared;
+  EXPECT_GT(compared_with_nan, 50) << compared_with_nan;
 }
 
 TEST(ReliableSolveTest, CleanSolveIsOneVerifiedAttempt) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -411,7 +412,8 @@ TEST(IncrementalAnalyzerTest, ValueOnlyReusesAnalysisUntouched) {
                                      .window = 0,
                                      .empty_row_fraction = 0.1,
                                      .seed = 71});
-  const Analysis before = Analyze(lower, "m");
+  const auto before = std::make_shared<const Analysis>(Analyze(lower, "m"));
+  const Analysis copy = *before;
   const DeltaBatch batch =
       update::MakeRandomBatch(lower, 25, /*structural=*/false, 72);
 
@@ -420,16 +422,18 @@ TEST(IncrementalAnalyzerTest, ValueOnlyReusesAnalysisUntouched) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->value_only);
   EXPECT_EQ(result->rows_releveled, 0);  // zero re-analysis on the fast path
-  EXPECT_EQ(result->analysis_ms, 0.0);   // the analysis was reused untouched
+  EXPECT_EQ(result->analysis_ms, 0.0);   // the analysis was shared untouched
   EXPECT_EQ(result->total_rows, lower.rows());
 
   auto oracle_matrix = update::ApplyToMatrix(lower, batch);
   ASSERT_TRUE(oracle_matrix.ok());
   EXPECT_EQ(result->matrix, *oracle_matrix);
-  // Values changed but sparsity did not: the analysis is reused verbatim and
-  // still matches the from-scratch oracle of the mutated matrix.
-  ExpectAnalysisEqual(result->analysis, before);
-  ExpectAnalysisEqual(result->analysis, Analyze(*oracle_matrix, "m"));
+  // Values changed but sparsity did not: the new epoch shares the very same
+  // analysis object, unchanged, and it still matches the from-scratch oracle
+  // of the mutated matrix.
+  EXPECT_EQ(result->analysis.get(), before.get());
+  ExpectAnalysisEqual(*result->analysis, copy);
+  ExpectAnalysisEqual(*result->analysis, Analyze(*oracle_matrix, "m"));
 }
 
 TEST(IncrementalAnalyzerTest, StructuralMatchesFromScratchOracle) {
@@ -449,7 +453,7 @@ TEST(IncrementalAnalyzerTest, StructuralMatchesFromScratchOracle) {
 
   IncrementalAnalyzer analyzer;
   for (const Csr& lower : matrices) {
-    const Analysis before = Analyze(lower, "m");
+    const auto before = std::make_shared<const Analysis>(Analyze(lower, "m"));
     for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
       // A 50-delta structural batch plus an explicit single insert and a
       // single erase, each validated against the oracle independently.
@@ -477,7 +481,7 @@ TEST(IncrementalAnalyzerTest, StructuralMatchesFromScratchOracle) {
         auto oracle_matrix = update::ApplyToMatrix(lower, batch);
         ASSERT_TRUE(oracle_matrix.ok());
         ASSERT_EQ(result->matrix, *oracle_matrix);
-        ExpectAnalysisEqual(result->analysis, Analyze(*oracle_matrix, "m"));
+        ExpectAnalysisEqual(*result->analysis, Analyze(*oracle_matrix, "m"));
       }
     }
   }
@@ -490,7 +494,7 @@ TEST(IncrementalAnalyzerTest, ConeStaysLocalOnAChainedBand) {
   // incremental win the subsystem exists for — one row touched out of 400.
   const Csr lower = MakeBanded({.rows = 400, .bandwidth = 12, .fill = 0.5,
                                 .force_chain = true, .seed = 91});
-  const Analysis before = Analyze(lower, "band");
+  const auto before = std::make_shared<const Analysis>(Analyze(lower, "band"));
   Idx row = 0;
   Idx col = 0;
   for (Idx i = 300; i < lower.rows() && row == 0; ++i) {
@@ -513,7 +517,7 @@ TEST(IncrementalAnalyzerTest, ConeStaysLocalOnAChainedBand) {
   EXPECT_EQ(result->total_rows, 400);
   auto oracle_matrix = update::ApplyToMatrix(lower, batch);
   ASSERT_TRUE(oracle_matrix.ok());
-  ExpectAnalysisEqual(result->analysis, Analyze(*oracle_matrix, "band"));
+  ExpectAnalysisEqual(*result->analysis, Analyze(*oracle_matrix, "band"));
 }
 
 TEST(IncrementalAnalyzerTest, PersistentConsumerGraphSurvivesManyBatches) {
@@ -522,7 +526,7 @@ TEST(IncrementalAnalyzerTest, PersistentConsumerGraphSurvivesManyBatches) {
                                .window = 0,
                                .empty_row_fraction = 0.15,
                                .seed = 101});
-  Analysis analysis = Analyze(lower, "m");
+  auto analysis = std::make_shared<const Analysis>(Analyze(lower, "m"));
   update::ConsumerGraph graph = update::ConsumerGraph::Build(lower);
 
   IncrementalAnalyzer analyzer;
@@ -534,7 +538,7 @@ TEST(IncrementalAnalyzerTest, PersistentConsumerGraphSurvivesManyBatches) {
     auto oracle_matrix = update::ApplyToMatrix(lower, batch);
     ASSERT_TRUE(oracle_matrix.ok());
     ASSERT_EQ(result->matrix, *oracle_matrix);
-    ExpectAnalysisEqual(result->analysis, Analyze(*oracle_matrix, "m"));
+    ExpectAnalysisEqual(*result->analysis, Analyze(*oracle_matrix, "m"));
     lower = std::move(result->matrix);
     analysis = std::move(result->analysis);
   }
@@ -549,6 +553,157 @@ TEST(IncrementalAnalyzerTest, PersistentConsumerGraphSurvivesManyBatches) {
     ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
         << "consumer list of column " << j << " diverged";
   }
+}
+
+/// Unit-lower factor whose row i holds the strictly-lower columns
+/// strict[i] (ascending) plus the diagonal.
+Csr FactorFromRows(const std::vector<std::vector<Idx>>& strict) {
+  const Idx n = static_cast<Idx>(strict.size());
+  std::vector<Idx> row_ptr = {0};
+  std::vector<Idx> col_idx;
+  std::vector<Val> val;
+  for (Idx i = 0; i < n; ++i) {
+    for (const Idx c : strict[static_cast<std::size_t>(i)]) {
+      col_idx.push_back(c);
+      val.push_back(0.5);
+    }
+    col_idx.push_back(i);
+    val.push_back(1.0);
+    row_ptr.push_back(static_cast<Idx>(col_idx.size()));
+  }
+  return Csr(n, n, std::move(row_ptr), std::move(col_idx), std::move(val));
+}
+
+/// Applies `batch` incrementally, checks the result against the from-scratch
+/// oracle, and returns the patched analysis.
+Analysis PatchAndCheck(const Csr& lower, const DeltaBatch& batch) {
+  IncrementalAnalyzer analyzer;
+  auto result = analyzer.Apply(
+      lower, std::make_shared<const Analysis>(Analyze(lower, "m")), batch);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return {};
+  auto oracle_matrix = update::ApplyToMatrix(lower, batch);
+  EXPECT_TRUE(oracle_matrix.ok());
+  EXPECT_EQ(result->matrix, *oracle_matrix);
+  ExpectAnalysisEqual(*result->analysis, Analyze(*oracle_matrix, "m"));
+  return *result->analysis;
+}
+
+TEST(IncrementalAnalyzerTest, TopLevelEmpties) {
+  // A chain 0 <- 1 <- 2 <- 3 beside free rows 4 and 5: cutting row 3 loose
+  // leaves level 3 empty, so the patch drops it.
+  const Csr lower = FactorFromRows({{}, {0}, {1}, {2}, {}, {1}});
+  ASSERT_EQ(Analyze(lower, "m").levels.num_levels(), 4);
+  DeltaBatch batch;
+  batch.Erase(3, 2);
+  EXPECT_EQ(PatchAndCheck(lower, batch).levels.num_levels(), 3);
+
+  // Cutting row 1 loose drops rows 1, 2, 3 and 5 a level each.
+  DeltaBatch cut_low;
+  cut_low.Erase(1, 0);
+  EXPECT_EQ(PatchAndCheck(lower, cut_low).levels.num_levels(), 3);
+}
+
+TEST(IncrementalAnalyzerTest, NewTopLevelsAppear) {
+  const Csr lower = FactorFromRows({{}, {0}, {1}, {}, {3}, {}});
+  ASSERT_EQ(Analyze(lower, "m").levels.num_levels(), 3);
+  // Row 3 hangs under the top row: it and its consumer row 4 rise to the
+  // new levels 3 and 4.
+  DeltaBatch batch;
+  batch.Insert(3, 2, 0.25);
+  EXPECT_EQ(PatchAndCheck(lower, batch).levels.num_levels(), 5);
+
+  // Rises and falls in one batch: row 2 falls to level 0, row 5 rises.
+  DeltaBatch mixed;
+  mixed.Erase(2, 1);
+  mixed.Insert(5, 4, 0.25);
+  mixed.Insert(5, 2, 0.25);
+  PatchAndCheck(lower, mixed);
+}
+
+TEST(IncrementalAnalyzerTest, LongestAndShortestRowsChangeLength) {
+  // Row 4 is the unique longest row (5 entries, bucket [4, 7]); rows 0 and
+  // 3 are the shortest (row 0 always is: it holds only its diagonal).
+  const Csr lower = FactorFromRows({{}, {0}, {0, 1}, {}, {0, 1, 2, 3}});
+  const Analysis before = Analyze(lower, "m");
+  ASSERT_EQ(before.row_lengths.max_value, 5);
+  ASSERT_EQ(before.row_lengths.min_value, 1);
+
+  // The unique longest row shrinks to 4: the max follows it, in its bucket.
+  DeltaBatch shrink;
+  shrink.Erase(4, 3);
+  EXPECT_EQ(PatchAndCheck(lower, shrink).row_lengths.max_value, 4);
+
+  // It shrinks to 3 entries, tied with row 2, and the top bucket empties.
+  DeltaBatch shrink_two;
+  shrink_two.Erase(4, 3);
+  shrink_two.Erase(4, 0);
+  const Analysis emptied = PatchAndCheck(lower, shrink_two);
+  EXPECT_EQ(emptied.row_lengths.max_value, 3);
+  EXPECT_EQ(emptied.row_lengths.counts.size(), 2u);
+
+  // Row 3, a shortest row, grows; row 0 keeps the shortest length.
+  DeltaBatch grow_short;
+  grow_short.Insert(3, 1, 0.25);
+  EXPECT_EQ(PatchAndCheck(lower, grow_short).row_lengths.min_value, 1);
+
+  // Two rows trade places as the longest.
+  DeltaBatch trade;
+  trade.Erase(4, 0);
+  trade.Erase(4, 1);
+  trade.Insert(3, 0, 0.25);
+  trade.Insert(3, 1, 0.25);
+  trade.Insert(3, 2, 0.25);
+  EXPECT_EQ(PatchAndCheck(lower, trade).row_lengths.max_value, 4);
+}
+
+TEST(IncrementalAnalyzerTest, RowGrowsIntoANewTopBucket) {
+  // The longest row has 3 entries (bucket [2, 3]); one insert makes it 4,
+  // the first value of bucket [4, 7].
+  const Csr lower = FactorFromRows({{}, {0}, {}, {0, 1}, {2}});
+  ASSERT_EQ(Analyze(lower, "m").row_lengths.counts.size(), 2u);
+  DeltaBatch batch;
+  batch.Insert(3, 2, 0.25);
+  const Analysis grown = PatchAndCheck(lower, batch);
+  EXPECT_EQ(grown.row_lengths.counts.size(), 3u);
+  EXPECT_EQ(grown.row_lengths.max_value, 4);
+}
+
+TEST(IncrementalAnalyzerTest, TwentyEpochChainMatchesOracleEveryEpoch) {
+  // Structural and value-only epochs interleaved, each applied to the one
+  // before it with the carried consumer graph, as the registry does.
+  Csr lower = MakeRandomLower({.rows = 400,
+                               .avg_strict_nnz_per_row = 2.5,
+                               .window = 48,
+                               .empty_row_fraction = 0.2,
+                               .seed = 131});
+  auto analysis = std::make_shared<const Analysis>(Analyze(lower, "m"));
+  update::ConsumerGraph graph = update::ConsumerGraph::Build(lower);
+  IncrementalAnalyzer analyzer;
+  Idx levels_moved = 0;
+  for (std::uint64_t epoch = 0; epoch < 20; ++epoch) {
+    const bool structural = epoch % 3 != 2;
+    const DeltaBatch batch = update::MakeRandomBatch(
+        lower, 12, structural, /*seed=*/1000 + epoch);
+    auto result = analyzer.Apply(lower, analysis, batch, &graph);
+    ASSERT_TRUE(result.ok()) << "epoch " << epoch << ": "
+                             << result.status().ToString();
+    auto oracle_matrix = update::ApplyToMatrix(lower, batch);
+    ASSERT_TRUE(oracle_matrix.ok());
+    ASSERT_EQ(result->matrix, *oracle_matrix) << "epoch " << epoch;
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    ExpectAnalysisEqual(*result->analysis, Analyze(*oracle_matrix, "m"));
+    if (structural) {
+      EXPECT_NE(result->analysis.get(), analysis.get());
+      levels_moved += result->analysis->levels.num_levels() !=
+                      analysis->levels.num_levels();
+    } else {
+      EXPECT_EQ(result->analysis.get(), analysis.get());
+    }
+    lower = std::move(result->matrix);
+    analysis = std::move(result->analysis);
+  }
+  EXPECT_GT(levels_moved, 0);  // the level count changed along the chain
 }
 
 // ISSUE satellite: across all algorithms and lower+upper factors, post-delta
