@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the HOST solvers (real CPU execution,
 // real wall-clock): serial, level-set with threads, sync-free with atomics,
 // plus the level-set preprocessing cost itself, the residual check that
-// follows every verified solve, and the matrix rebuild and incremental
+// follows every verified device solve, the reliable host rung that solves
+// and verifies in one pass, and the matrix rebuild and incremental
 // re-analysis of a streaming update. These complement the simulated device
 // numbers with measurements a user can reproduce natively.
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/analysis.h"
+#include "core/solver.h"
 #include "core/verify.h"
 #include "gen/banded.h"
 #include "gen/level_structured.h"
@@ -39,9 +41,13 @@ Csr BenchMatrix(int kind, Idx rows) {
     case 1:  // banded FEM-like
       return MakeBanded({.rows = rows, .bandwidth = 32, .fill = 0.8,
                          .force_chain = true, .seed = 2});
-    default:  // random prefix references
+    case 2:  // random prefix references
       return MakeRandomLower({.rows = rows, .avg_strict_nnz_per_row = 4.0,
                               .window = 0, .empty_row_fraction = 0.2,
+                              .seed = 3});
+    default:  // shaped like the largest factor perfbench's update_mix updates
+      return MakeRandomLower({.rows = rows, .avg_strict_nnz_per_row = 2.5,
+                              .window = 0, .empty_row_fraction = 0.3,
                               .seed = 3});
   }
 }
@@ -61,7 +67,9 @@ void BM_HostSerial(benchmark::State& state) {
 BENCHMARK(BM_HostSerial)
     ->Args({0, 1 << 15})
     ->Args({1, 1 << 15})
-    ->Args({2, 1 << 15});
+    ->Args({2, 1 << 15})
+    ->Args({3, 1 << 17})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_HostLevelSet(benchmark::State& state) {
   const Csr matrix = BenchMatrix(static_cast<int>(state.range(0)),
@@ -105,15 +113,8 @@ void BM_LevelSetPreprocessing(benchmark::State& state) {
 }
 BENCHMARK(BM_LevelSetPreprocessing)->Args({0, 1 << 15})->Args({1, 1 << 15});
 
-/// A 2^17-row random-prefix factor shaped like the largest factor
-/// perfbench's update_mix updates.
-Csr UpdateFactor() {
-  return MakeRandomLower({.rows = 1 << 17,
-                          .avg_strict_nnz_per_row = 2.5,
-                          .window = 0,
-                          .empty_row_fraction = 0.3,
-                          .seed = 3});
-}
+/// The 2^17-row update factor: BM_HostSerial's last argument pair.
+Csr UpdateFactor() { return BenchMatrix(3, 1 << 17); }
 
 // VerifySolution of a serial solve's x on the update factor: the two vector
 // scans (||x||∞, ||b||∞ and finiteness) plus the CSR residual pass.
@@ -130,6 +131,23 @@ void BM_VerifySolution(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VerifySolution)->Unit(benchmark::kMicrosecond);
+
+// The reliable host rung on the update factor: SolveReliable(kSerialCpu),
+// which solves and verifies in one pass over the rows. Compare it with
+// BM_HostSerial/3/131072 plus BM_VerifySolution, the two passes it replaces.
+void BM_ReliableHostRung(benchmark::State& state) {
+  const Solver solver(UpdateFactor());
+  const ReferenceProblem problem = MakeReferenceProblem(solver.matrix(), 7);
+  for (auto _ : state) {
+    auto result = solver.SolveReliable(Algorithm::kSerialCpu, problem.b);
+    if (!result.ok() || !result->verified) {
+      state.SkipWithError("the host rung did not verify");
+      return;
+    }
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_ReliableHostRung)->Unit(benchmark::kMicrosecond);
 
 // One ApplyDelta's matrix rebuild: 8-delta batches, value-only (0) or
 // structural (1), on the update factor. Every batch applies to the same

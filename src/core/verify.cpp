@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "host/serial.h"
 #include "support/timer.h"
 
 namespace capellini {
@@ -46,6 +47,104 @@ VectorScan ScanVector(std::span<const Val> v) {
   return scan;
 }
 
+/// ||v||∞ over all of v, and whether v is finite in [begin, end): one scan
+/// in three pieces.
+struct BlockScan {
+  double inf_norm = 0.0;
+  bool block_finite = true;
+};
+
+BlockScan ScanAroundBlock(std::span<const Val> v, std::size_t begin,
+                          std::size_t end) {
+  const VectorScan below = ScanVector(v.first(begin));
+  const VectorScan block = ScanVector(v.subspan(begin, end - begin));
+  const VectorScan above = ScanVector(v.subspan(end));
+  return {std::max(block.inf_norm, std::max(below.inf_norm, above.inf_norm)),
+          block.finite};
+}
+
+/// residual / (matrix * x + b) for finite x and b. Where that denominator is
+/// finite, this is the plain quotient. Where it overflows, finite values near
+/// DBL_MAX would scale any residual to 0, so the quotient is taken at a
+/// power-of-two scale instead; a residual (or ||L||∞) that itself overflowed
+/// gives +inf.
+double RelativeResidual(double residual, double matrix, double x, double b) {
+  const double denom = matrix * x + b;
+  // A zero denominator means L, x and b are all zero: the residual is exact.
+  if (std::isfinite(denom)) return denom > 0.0 ? residual / denom : residual;
+  if (std::isinf(residual) || std::isinf(matrix)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  // With e the larger exponent of the two terms, both terms scaled by 2^-e
+  // lie below 1 and one of them is at least 1/4, so `scaled` is in [1/4, 2).
+  // The denominator overflowed, so e >= 1024: dividing by 4 * scaled cannot
+  // overflow, and the 2^(2 - e) that follows cannot either.
+  int matrix_exp = 0;
+  int x_exp = 0;
+  int b_exp = 0;
+  const double matrix_frac = std::frexp(matrix, &matrix_exp);
+  const double x_frac = std::frexp(x, &x_exp);
+  const double b_frac = std::frexp(b, &b_exp);
+  const int e = std::max(matrix_exp + x_exp, b_exp);
+  const double scaled =
+      std::ldexp(matrix_frac * x_frac, matrix_exp + x_exp - e) +
+      std::ldexp(b_frac, b_exp - e);
+  return std::ldexp(residual / (4.0 * scaled), 2 - e);
+}
+
+/// The verdict on rows [row_begin, row_end) from their folded residuals and
+/// one scan each of x and b. VerifyRange and SolveSerialVerified both end
+/// here, so they agree bit for bit.
+Verification FinishVerification(const host::RowResidualFold& rows,
+                                std::span<const Val> b, std::span<const Val> x,
+                                Idx row_begin, Idx row_end,
+                                const VerifyOptions& options) {
+  // Finiteness counts inside the block only, while the scaling norms stay
+  // whole-vector (the block's rows consume x from below row_begin), so
+  // VerifyRange(0, rows) == VerifySolution.
+  const auto begin = static_cast<std::size_t>(row_begin);
+  const auto end = static_cast<std::size_t>(row_end);
+  const BlockScan x_scan = ScanAroundBlock(x, begin, end);
+  const BlockScan b_scan = ScanAroundBlock(b, begin, end);
+
+  // A non-finite x or b inside the block fails it. So does an infinite
+  // ||x||∞ or ||b||∞, which would scale every block residual down to 0. A
+  // NaN outside the block leaves the norms finite (the max skips it) and
+  // matters only where the block's rows read it.
+  Verification v;
+  v.finite = x_scan.block_finite;
+  if (!v.finite || !b_scan.block_finite || std::isinf(x_scan.inf_norm) ||
+      std::isinf(b_scan.inf_norm)) {
+    v.residual = std::numeric_limits<double>::infinity();
+    return v;
+  }
+  v.residual = RelativeResidual(rows.residual_inf, rows.matrix_inf,
+                                x_scan.inf_norm, b_scan.inf_norm);
+  v.passed = v.residual <= options.residual_bound;
+  return v;
+}
+
+/// SolveReliable's host serial rung: one SolveSerialVerified pass over every
+/// row. Its solve_ms is the host ms of that whole pass, verification
+/// included, because serve's cost model reads it.
+Expected<SolveResult> SolveSerialRung(const Csr& lower, std::span<const Val> b,
+                                      const VerifyOptions& options,
+                                      Verification& verification) {
+  SolveResult result;
+  result.x.assign(static_cast<std::size_t>(lower.rows()), 0.0);
+  Timer timer;
+  auto verified =
+      SolveSerialVerified(lower, b, result.x, 0, lower.rows(), options);
+  if (!verified.ok()) return verified.status();
+  result.solve_ms = timer.ElapsedMs();
+  const double seconds = result.solve_ms / 1e3;
+  if (seconds > 0.0) {
+    result.gflops = 2.0 * static_cast<double>(lower.nnz()) / seconds / 1e9;
+  }
+  verification = *verified;
+  return result;
+}
+
 }  // namespace
 
 Verification VerifyRange(const Csr& lower, std::span<const Val> b,
@@ -57,57 +156,20 @@ Verification VerifyRange(const Csr& lower, std::span<const Val> b,
   CAPELLINI_CHECK_MSG(row_begin >= 0 && row_begin <= row_end &&
                           row_end <= lower.rows(),
                       "VerifyRange: row range out of bounds");
-  // x is scanned once, in three pieces: finiteness counts inside the block
-  // only, while the scaling norm stays whole-vector (the block's rows consume
-  // values from below row_begin), so VerifyRange(0, rows) == VerifySolution.
-  const auto begin = static_cast<std::size_t>(row_begin);
-  const auto end = static_cast<std::size_t>(row_end);
-  const VectorScan below = ScanVector(x.first(begin));
-  const VectorScan block = ScanVector(x.subspan(begin, end - begin));
-  const VectorScan above = ScanVector(x.subspan(end));
-  const double x_inf = std::max(block.inf_norm,
-                                std::max(below.inf_norm, above.inf_norm));
-  const double b_inf = ScanVector(b).inf_norm;
+  host::RowResidualFold rows;
+  for (Idx i = row_begin; i < row_end; ++i) rows.AddRow(lower, b, x, i);
+  return FinishVerification(rows, b, x, row_begin, row_end, options);
+}
 
-  // An infinite ||x||∞ or ||b||∞ would scale every block residual down to 0
-  // and pass a wrong block, so it fails the block like a non-finite value
-  // inside it. A NaN outside the block leaves the norms finite (the max
-  // skips it) and matters only where the block's rows read it.
-  Verification v;
-  v.finite = block.finite;
-  if (!v.finite || std::isinf(x_inf) || std::isinf(b_inf)) {
-    v.residual = std::numeric_limits<double>::infinity();
-    return v;
-  }
-
-  // One CSR pass over the block computes ||(Lx - b)|_block||_inf and the
-  // block's share of ||L||_inf together.
-  double residual_inf = 0.0;
-  double matrix_inf = 0.0;
-  const std::span<const Idx> row_ptr = lower.row_ptr();
-  const std::span<const Idx> col_idx = lower.col_idx();
-  const std::span<const Val> vals = lower.val();
-  for (Idx i = row_begin; i < row_end; ++i) {
-    double row_sum = 0.0;
-    double row_abs = 0.0;
-    for (Idx k = row_ptr[static_cast<std::size_t>(i)];
-         k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const double a = vals[static_cast<std::size_t>(k)];
-      row_sum += a * x[static_cast<std::size_t>(
-                     col_idx[static_cast<std::size_t>(k)])];
-      row_abs += std::abs(a);
-    }
-    residual_inf =
-        std::max(residual_inf,
-                 std::abs(row_sum - b[static_cast<std::size_t>(i)]));
-    matrix_inf = std::max(matrix_inf, row_abs);
-  }
-
-  const double denom = matrix_inf * x_inf + b_inf;
-  // A zero denominator means L, x and b are all zero: the residual is exact.
-  v.residual = denom > 0.0 ? residual_inf / denom : residual_inf;
-  v.passed = v.residual <= options.residual_bound;
-  return v;
+Expected<Verification> SolveSerialVerified(const Csr& lower,
+                                           std::span<const Val> b,
+                                           std::span<Val> x, Idx row_begin,
+                                           Idx row_end,
+                                           const VerifyOptions& options) {
+  host::RowResidualFold rows;
+  CAPELLINI_RETURN_IF_ERROR(
+      host::SolveSerial(lower, b, x, row_begin, row_end, rows));
+  return FinishVerification(rows, b, x, row_begin, row_end, options);
 }
 
 Verification VerifySolution(const Csr& lower, std::span<const Val> b,
@@ -145,7 +207,10 @@ Expected<ReliableResult> Solver::SolveReliable(
   for (const Algorithm rung : ladder) {
     AttemptRecord attempt;
     attempt.algorithm = rung;
-    auto solved = Solve(rung, b);
+    Verification verification;
+    auto solved = rung == Algorithm::kSerialCpu
+                      ? SolveSerialRung(lower_, b, options.verify, verification)
+                      : Solve(rung, b);
     if (!solved.ok()) {
       attempt.status = solved.status().code();
       attempt.residual = std::numeric_limits<double>::infinity();
@@ -153,10 +218,11 @@ Expected<ReliableResult> Solver::SolveReliable(
       result.attempts.push_back(attempt);
       continue;
     }
-    Timer verify_timer;
-    const Verification verification =
-        VerifySolution(lower_, b, solved->x, options.verify);
-    result.verify_ms += verify_timer.ElapsedMs();
+    if (rung != Algorithm::kSerialCpu) {
+      Timer verify_timer;
+      verification = VerifySolution(lower_, b, solved->x, options.verify);
+      result.verify_ms += verify_timer.ElapsedMs();
+    }
     attempt.residual = verification.residual;
     attempt.verified = verification.passed;
     attempt.status =

@@ -7,10 +7,13 @@
 //
 //     ||L x - b||_inf / (||L||_inf ||x||_inf + ||b||_inf)
 //
-// against a configurable bound. It is one read each of x and b (norm and
-// finiteness together) and one matrix-vector pass — small next to any solve
+// against a configurable bound. It is one matrix-vector pass and one read
+// each of x and b (norm and finiteness together) — small next to any solve
 // that walked the same nonzeros with spin-waits in the loop (bench_faults
-// reports the measured overhead).
+// reports the measured overhead). The host serial solve needs no pass of
+// its own: SolveSerialVerified folds each row's residual in right after
+// writing that row's x, while the row is still in cache, and then reads x
+// and b once each.
 //
 // Solver::SolveReliable builds the recovery policy on top: verify after
 // every solve, and on failure (bad residual, non-finite values, or a
@@ -41,8 +44,9 @@ struct VerifyOptions {
 struct Verification {
   /// Every component of x in the checked rows is finite (no NaN/Inf).
   bool finite = false;
-  /// Relative infinity-norm residual; +inf when x is non-finite in the
-  /// checked rows or ||x||_inf or ||b||_inf is infinite.
+  /// Relative infinity-norm residual; +inf when x or b is non-finite in the
+  /// checked rows, ||x||_inf or ||b||_inf is infinite, or a row residual
+  /// overflows.
   double residual = 0.0;
   /// residual <= bound (never true when residual is +inf).
   bool passed = false;
@@ -62,14 +66,32 @@ Verification VerifySolution(const Csr& lower, std::span<const Val> b,
 /// time without paying a whole-matrix pass per ladder rung. With
 /// row_begin = 0 and row_end = rows it is exactly VerifySolution.
 ///
-/// An infinite value anywhere in x or b fails every block, because an
-/// infinite ||x||_inf or ||b||_inf would scale any block residual to 0: the
-/// block reports residual +inf and passed false, with `finite` still true
-/// when its own x values are finite. A NaN outside the block does not enter
-/// the norms and counts only in the rows that read it.
+/// A non-finite x or b value inside the block fails it with residual +inf;
+/// `finite` describes the block's x values alone. An infinite value anywhere
+/// in x or b fails every block too, because an infinite ||x||_inf or
+/// ||b||_inf would scale any block residual to 0. A NaN outside the block
+/// does not enter the norms and counts only in the rows that read it: a NaN
+/// x below the block makes a reading row's residual NaN, which the max
+/// skips, so the block passes on its other rows (the fleet's survivor
+/// pre-pass relies on this). Where ||L||_inf ||x||_inf + ||b||_inf overflows
+/// for finite values, the quotient is taken at a power-of-two scale. A row
+/// residual that itself overflows fails with +inf, also when +inf and -inf
+/// partial sums made it NaN in a row that read no NaN.
 Verification VerifyRange(const Csr& lower, std::span<const Val> b,
                          std::span<const Val> x, Idx row_begin, Idx row_end,
                          const VerifyOptions& options = {});
+
+/// host::SolveSerial's row-range form, verified in the same pass: right after
+/// x[i] is written, row i's residual and |L| row sum are folded in while the
+/// row is still in cache, and one scan each of x and b finishes the check.
+/// x comes out bit-identical to host::SolveSerial's and the Verification to
+/// VerifyRange's on that x, with one pass over the rows instead of two.
+/// Returns SolveSerial's error for a malformed matrix, vector or range.
+Expected<Verification> SolveSerialVerified(const Csr& lower,
+                                           std::span<const Val> b,
+                                           std::span<Val> x, Idx row_begin,
+                                           Idx row_end,
+                                           const VerifyOptions& options = {});
 
 struct ReliableOptions {
   VerifyOptions verify;
@@ -98,8 +120,11 @@ struct ReliableResult {
   SolveResult solve;
   Algorithm final_algorithm = Algorithm::kCapellini;
   bool verified = false;
-  /// Wall-clock milliseconds spent inside VerifySolution, summed over
-  /// attempts — the detection overhead bench_faults reports.
+  /// Wall-clock milliseconds spent inside VerifySolution after a solve,
+  /// summed over attempts — the detection overhead bench_faults reports.
+  /// The host serial rung (kSerialCpu) adds nothing here: it verifies inside
+  /// its own substitution pass (SolveSerialVerified), whose whole host time
+  /// is that rung's solve.solve_ms.
   double verify_ms = 0.0;
   std::vector<AttemptRecord> attempts;
 };

@@ -11,7 +11,6 @@
 #include <span>
 #include <utility>
 
-#include "host/serial.h"
 #include "sim/fault.h"
 #include "support/thread_pool.h"
 
@@ -584,13 +583,20 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
         record.attempts.push_back(executor);
         ++ds.recovery_attempts;
         result.stats.rows_reexecuted += static_cast<std::uint64_t>(record.rows);
+        Verification check;
         if (executor == kHostExecutor) {
           // Serial substitution against the recovered image, in the device
           // kernels' accumulation order (bit-identical recoveries); its
           // publishes are checkpointed at cycle 0 for downstream re-runs.
+          // It verifies its rows in the same pass; out.x equals `current`
+          // outside them, so the verdict is VerifyRange's on `current`
+          // after the copy below.
           out.x = current;
           out.publish_cycles.assign(static_cast<std::size_t>(end - begin), 0);
-          if (!host::SolveSerial(lower, b, out.x, begin, end).ok()) continue;
+          auto verified = SolveSerialVerified(lower, b, out.x, begin, end,
+                                              config.recovery.verify);
+          if (!verified.ok()) continue;
+          check = *verified;
         } else {
           // A re-execution is still a device launch, subject to the
           // executor's own injector, with its offset scoped to the failed
@@ -616,8 +622,10 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
         }
         std::copy(out.x.begin() + begin, out.x.begin() + end,
                   current.begin() + begin);
-        const Verification check = VerifyRange(lower, b, current, begin, end,
-                                               config.recovery.verify);
+        if (executor != kHostExecutor) {
+          check = VerifyRange(lower, b, current, begin, end,
+                              config.recovery.verify);
+        }
         if (check.passed) {
           accepted = true;
           record.recovered_on = executor;

@@ -2,13 +2,12 @@
 
 namespace capellini::host {
 
-Status SolveSerial(const Csr& lower, std::span<const Val> b,
-                   std::span<Val> x) {
-  return SolveSerial(lower, b, x, 0, lower.rows());
-}
+namespace {
 
-Status SolveSerial(const Csr& lower, std::span<const Val> b, std::span<Val> x,
-                   Idx row_begin, Idx row_end) {
+/// The substitution loop. `on_row(i)` runs right after x[i] is written.
+template <typename OnRow>
+Status Substitute(const Csr& lower, std::span<const Val> b, std::span<Val> x,
+                  Idx row_begin, Idx row_end, OnRow&& on_row) {
   if (!lower.IsLowerTriangularWithDiagonal()) {
     return InvalidArgument("matrix is not lower triangular with diagonal");
   }
@@ -34,8 +33,27 @@ Status SolveSerial(const Csr& lower, std::span<const Val> b, std::span<Val> x,
     x[static_cast<std::size_t>(i)] =
         (b[static_cast<std::size_t>(i)] - left_sum) /
         val[static_cast<std::size_t>(end - 1)];
+    on_row(i);
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+Status SolveSerial(const Csr& lower, std::span<const Val> b,
+                   std::span<Val> x) {
+  return SolveSerial(lower, b, x, 0, lower.rows());
+}
+
+Status SolveSerial(const Csr& lower, std::span<const Val> b, std::span<Val> x,
+                   Idx row_begin, Idx row_end) {
+  return Substitute(lower, b, x, row_begin, row_end, [](Idx) {});
+}
+
+Status SolveSerial(const Csr& lower, std::span<const Val> b, std::span<Val> x,
+                   Idx row_begin, Idx row_end, RowResidualFold& rows) {
+  return Substitute(lower, b, x, row_begin, row_end,
+                    [&](Idx i) { rows.AddRow(lower, b, x, i); });
 }
 
 Status SolveSerialMrhs(const Csr& lower, std::span<const Val> b,

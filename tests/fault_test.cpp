@@ -17,6 +17,7 @@
 #include "core/verify.h"
 #include "gen/banded.h"
 #include "gen/random_lower.h"
+#include "host/serial.h"
 #include "matrix/triangular.h"
 #include "sim/config.h"
 #include "sim/fault.h"
@@ -397,19 +398,114 @@ TEST(VerifyTest, InfiniteValueOutsideTheRangeFailsIt) {
   EXPECT_TRUE(VerifyRange(identity, poisoned_b, x, 0, 2).passed);
 }
 
+// A non-finite b value inside the checked rows fails them with an infinite
+// residual. `finite` still describes x alone.
+TEST(VerifyTest, NonFiniteBInsideTheRangeFailsIt) {
+  const Csr identity(4, 4, {0, 1, 2, 3, 4}, {0, 1, 2, 3}, {1, 1, 1, 1});
+  const std::vector<Val> x(4, 1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Val poison : {std::nan(""), -std::nan(""), inf, -inf}) {
+    const std::vector<Val> b = {1.0, poison, 1.0, 1.0};
+    const Verification whole = VerifySolution(identity, b, x);
+    EXPECT_TRUE(whole.finite) << poison;
+    EXPECT_FALSE(whole.passed) << poison;
+    EXPECT_EQ(whole.residual, inf) << poison;
+    EXPECT_FALSE(VerifyRange(identity, b, x, 1, 2).passed) << poison;
+    EXPECT_EQ(VerifyRange(identity, b, x, 1, 2).residual, inf) << poison;
+  }
+  // A NaN in b outside the block is read by none of its rows.
+  const std::vector<Val> b = {1.0, std::nan(""), 1.0, 1.0};
+  EXPECT_TRUE(VerifyRange(identity, b, x, 2, 4).passed);
+  EXPECT_EQ(VerifyRange(identity, b, x, 2, 4).residual, 0.0);
+}
+
+// A NaN x value below a block that the block reads makes that row's residual
+// NaN, which the max skips, so the block passes on its other rows. The
+// fleet's survivor pre-pass relies on it: a device whose rows read an
+// upstream device's NaN stays eligible to redo another device's rows.
+TEST(VerifyTest, NanBelowTheRangeThatTheRangeReadsPasses) {
+  // Bidiagonal: row i reads x[i - 1] and x[i].
+  const Csr lower(4, 4, {0, 1, 3, 5, 7}, {0, 0, 1, 1, 2, 2, 3},
+                  {1, 1, 1, 1, 1, 1, 1});
+  const std::vector<Val> b = {1.0, 2.0, 2.0, 2.0};
+  std::vector<Val> x = {std::nan(""), 1.0, 1.0, 1.0};
+  const Verification block = VerifyRange(lower, b, x, 1, 4);
+  EXPECT_TRUE(block.finite);
+  EXPECT_TRUE(block.passed);
+  EXPECT_EQ(block.residual, 0.0);
+  // The same NaN inside the checked rows fails them.
+  EXPECT_FALSE(VerifyRange(lower, b, x, 0, 4).passed);
+  EXPECT_FALSE(VerifyRange(lower, b, x, 0, 4).finite);
+}
+
+// ||L||inf*||x||inf + ||b||inf overflows for finite values near DBL_MAX; the
+// ratio is still taken, so a wrong row fails. A row residual that itself
+// overflows, to +inf or through +inf and -inf partial sums to NaN, fails
+// with an infinite residual.
+TEST(VerifyTest, OverflowingDenominatorStillScalesTheResidual) {
+  const double max = std::numeric_limits<double>::max();
+  const Csr lower(2, 2, {0, 1, 3}, {0, 0, 1}, {1, 2, 1});
+  // Row 0 is wrong by 0.75 * DBL_MAX; ||L|| = 3, so the denominator is
+  // 0.75 * DBL_MAX + DBL_MAX.
+  const Verification wrong =
+      VerifySolution(lower, std::vector<Val>{max, 0.0},
+                     std::vector<Val>{max / 4.0, 5.0});
+  EXPECT_TRUE(wrong.finite);
+  EXPECT_FALSE(wrong.passed);
+  EXPECT_DOUBLE_EQ(wrong.residual, 0.75 / 1.75);
+
+  // Row 0's residual is x0 - b0 = 2 * DBL_MAX.
+  const Verification overflowed =
+      VerifySolution(lower, std::vector<Val>{-max, 0.0},
+                     std::vector<Val>{max, 0.0});
+  EXPECT_TRUE(overflowed.finite);
+  EXPECT_FALSE(overflowed.passed);
+  EXPECT_EQ(overflowed.residual, std::numeric_limits<double>::infinity());
+
+  // x = {DBL_MAX, -DBL_MAX/2} solves b = {DBL_MAX, DBL_MAX}; x1 = -DBL_MAX is
+  // wrong by DBL_MAX/2. Row 1's partial sums overflow to +inf and then meet
+  // -inf, which makes its residual NaN though it read no NaN: it fails like
+  // an overflowed row, and does not drop out of the max.
+  const Csr doubled(2, 2, {0, 1, 3}, {0, 0, 1}, {1, 2, 2});
+  const Verification cancelled =
+      VerifySolution(doubled, std::vector<Val>{max, max},
+                     std::vector<Val>{max, -max});
+  EXPECT_TRUE(cancelled.finite);
+  EXPECT_FALSE(cancelled.passed);
+  EXPECT_EQ(cancelled.residual, std::numeric_limits<double>::infinity());
+
+  // A right answer at the same scale still passes: x = {DBL_MAX/4, -DBL_MAX/2}
+  // solves b = {DBL_MAX/4, 0} exactly, and ||L||*||x|| = 1.5 * DBL_MAX.
+  const Verification right =
+      VerifySolution(lower, std::vector<Val>{max / 4.0, 0.0},
+                     std::vector<Val>{max / 4.0, -max / 2.0});
+  EXPECT_TRUE(right.passed);
+  EXPECT_EQ(right.residual, 0.0);
+}
+
 /// VerifyRange as a sequential fold: a finiteness pass over the block, then
 /// one max pass each over x and b. Kept as the reference the single-read
-/// vector scans must reproduce bit for bit.
-Verification SequentialVerifyRange(const Csr& lower, std::span<const Val> b,
-                                   std::span<const Val> x, Idx row_begin,
-                                   Idx row_end, double bound) {
-  Verification v;
+/// vector scans must reproduce bit for bit. `denominator` is its
+/// ||L||inf*||x||inf + ||b||inf, and `scaled_residual` the same quotient
+/// taken at a 2^-64 scale, which stays finite for the factors below.
+struct SequentialFold {
+  Verification verdict;
+  double denominator = 0.0;
+  double residual_inf = 0.0;
+  double scaled_residual = 0.0;
+};
+
+SequentialFold SequentialVerifyRange(const Csr& lower, std::span<const Val> b,
+                                     std::span<const Val> x, Idx row_begin,
+                                     Idx row_end, double bound) {
+  SequentialFold fold;
+  Verification& v = fold.verdict;
   v.finite = true;
   for (Idx i = row_begin; i < row_end; ++i) {
     if (!std::isfinite(x[static_cast<std::size_t>(i)])) {
       v.finite = false;
       v.residual = std::numeric_limits<double>::infinity();
-      return v;
+      return fold;
     }
   }
   double x_inf = 0.0;
@@ -434,7 +530,12 @@ Verification SequentialVerifyRange(const Csr& lower, std::span<const Val> b,
   const double denom = matrix_inf * x_inf + b_inf;
   v.residual = denom > 0.0 ? residual_inf / denom : residual_inf;
   v.passed = v.finite && v.residual <= bound;
-  return v;
+  fold.denominator = denom;
+  fold.residual_inf = residual_inf;
+  fold.scaled_residual =
+      std::ldexp(residual_inf, -64) /
+      (matrix_inf * std::ldexp(x_inf, -64) + std::ldexp(b_inf, -64));
+  return fold;
 }
 
 bool HasInf(std::span<const Val> values) {
@@ -449,23 +550,38 @@ bool HasNan(std::span<const Val> values) {
 
 std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
-// Random factors, ranges and vectors with NaN, ±inf, -0.0 and subnormals at
-// random places. Every verdict equals the sequential fold's, residual bits
-// included, except where an infinite value outside the block made the
-// fold's norm infinite: there the block now fails with an infinite residual.
+std::vector<std::uint64_t> Bits(std::span<const Val> values) {
+  std::vector<std::uint64_t> bits;
+  for (const Val value : values) bits.push_back(Bits(value));
+  return bits;
+}
+
+/// NaN, ±inf, -0.0, subnormals and DBL_MAX: the values the randomized
+/// verification tests plant.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const Val kSpecials[] = {std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN(),
+                         kInf,
+                         -kInf,
+                         -0.0,
+                         0.0,
+                         std::numeric_limits<double>::denorm_min(),
+                         -4.9e-310,
+                         std::numeric_limits<double>::max()};
+
+// Random factors, ranges and vectors with NaN, ±inf, -0.0, subnormals and
+// DBL_MAX at random places. Every verdict equals the sequential fold's,
+// residual bits included, except where the fold lets a wrong block pass:
+// an infinite value outside the block made its norm infinite, or a NaN or
+// infinite b value sits inside the block (both now fail with an infinite
+// residual), or its denominator overflowed to +inf (the residual is now the
+// quotient taken at a power-of-two scale, or +inf where a row residual
+// overflowed).
 TEST(VerifyTest, VectorScansMatchTheSequentialFold) {
-  const double inf = std::numeric_limits<double>::infinity();
-  const Val specials[] = {std::nan(""),
-                          -std::nan(""),
-                          inf,
-                          -inf,
-                          -0.0,
-                          0.0,
-                          std::numeric_limits<double>::denorm_min(),
-                          -4.9e-310,
-                          std::numeric_limits<double>::max()};
   Rng rng(2024);
   int changed = 0;
+  int nonfinite_b = 0;
+  int overflowed = 0;
   int compared = 0;
   int compared_with_nan = 0;
   for (int trial = 0; trial < 600; ++trial) {
@@ -488,7 +604,7 @@ TEST(VerifyTest, VectorScansMatchTheSequentialFold) {
     for (int p = 0; p < plants; ++p) {
       std::vector<Val>& target = rng.NextBool(0.7) ? x : b;
       target[rng.NextBounded(target.size())] =
-          specials[rng.NextBounded(std::size(specials))];
+          kSpecials[rng.NextBounded(std::size(kSpecials))];
     }
     const Idx begin = static_cast<Idx>(rng.NextInt(0, n));
     const Idx end = static_cast<Idx>(rng.NextInt(begin, n));
@@ -497,13 +613,37 @@ TEST(VerifyTest, VectorScansMatchTheSequentialFold) {
     VerifyOptions options;
     options.residual_bound = bound;
     const Verification got = VerifyRange(lower, b, x, begin, end, options);
-    const Verification want =
+    const SequentialFold fold =
         SequentialVerifyRange(lower, b, x, begin, end, bound);
+    const Verification& want = fold.verdict;
     EXPECT_EQ(got.finite, want.finite) << "trial " << trial;
+    const std::span<const Val> b_block(b.data() + begin,
+                                       static_cast<std::size_t>(end - begin));
     if (want.finite && (HasInf(x) || HasInf(b))) {
       ++changed;
       EXPECT_FALSE(got.passed) << "trial " << trial;
-      EXPECT_EQ(got.residual, inf) << "trial " << trial;
+      EXPECT_EQ(got.residual, kInf) << "trial " << trial;
+      continue;
+    }
+    if (want.finite && HasNan(b_block)) {
+      ++nonfinite_b;
+      EXPECT_FALSE(got.passed) << "trial " << trial;
+      EXPECT_EQ(got.residual, kInf) << "trial " << trial;
+      continue;
+    }
+    if (want.finite && std::isinf(fold.denominator)) {
+      ++overflowed;
+      if (std::isinf(fold.residual_inf)) {
+        EXPECT_FALSE(got.passed) << "trial " << trial;
+        EXPECT_EQ(got.residual, kInf) << "trial " << trial;
+        continue;
+      }
+      // One rounding apart at most, or a few ulps in the subnormal range.
+      EXPECT_LE(std::abs(got.residual - fold.scaled_residual),
+                1e-15 * fold.scaled_residual + 1e-320)
+          << "trial " << trial << ": " << got.residual << " vs "
+          << fold.scaled_residual;
+      EXPECT_EQ(got.passed, fold.scaled_residual <= bound) << "trial " << trial;
       continue;
     }
     ++compared;
@@ -513,11 +653,70 @@ TEST(VerifyTest, VectorScansMatchTheSequentialFold) {
         << "trial " << trial << ": " << got.residual << " vs "
         << want.residual;
   }
-  // Both branches ran often enough to mean something, and the bit-exact one
+  // Every branch ran often enough to mean something, and the bit-exact one
   // also with a NaN outside the checked rows.
   EXPECT_GT(changed, 50) << changed;
+  EXPECT_GT(nonfinite_b, 5) << nonfinite_b;
+  EXPECT_GT(overflowed, 20) << overflowed;
   EXPECT_GT(compared, 200) << compared;
   EXPECT_GT(compared_with_nan, 50) << compared_with_nan;
+}
+
+// The host rung's one-pass solve and check against its two-pass definition:
+// random factors, row ranges and vectors with NaN, ±inf, -0.0, subnormals and
+// DBL_MAX planted in b and in x below the range. x and every Verification
+// field equal host::SolveSerial followed by VerifyRange bit for bit, for the
+// whole matrix and for a row range.
+TEST(VerifyTest, SolveSerialVerifiedMatchesSolveThenVerifyRange) {
+  Rng rng(4096);
+  int passed = 0;
+  int failed = 0;
+  int nonfinite = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const Idx n = static_cast<Idx>(rng.NextInt(1, 67));
+    const Csr lower = MakeRandomLower({.rows = n,
+                                       .avg_strict_nnz_per_row = 2.0,
+                                       .window = 0,
+                                       .empty_row_fraction = 0.2,
+                                       .seed = rng.Next()});
+    const bool whole = trial % 2 == 0;
+    const Idx begin = whole ? 0 : static_cast<Idx>(rng.NextInt(0, n));
+    const Idx end = whole ? n : static_cast<Idx>(rng.NextInt(begin, n));
+    std::vector<Val> x(static_cast<std::size_t>(n));
+    std::vector<Val> b(static_cast<std::size_t>(n));
+    for (Val& value : x) value = rng.NextDouble(-4.0, 4.0);
+    for (Val& value : b) value = rng.NextDouble(-4.0, 4.0);
+    const int plants = trial % 3 == 0 ? 0 : static_cast<int>(rng.NextInt(1, 4));
+    for (int p = 0; p < plants; ++p) {
+      const Val special = kSpecials[rng.NextBounded(std::size(kSpecials))];
+      if (begin > 0 && rng.NextBool(0.5)) {
+        x[rng.NextBounded(static_cast<std::uint64_t>(begin))] = special;
+      } else {
+        b[rng.NextBounded(b.size())] = special;
+      }
+    }
+    VerifyOptions options;
+    options.residual_bound = rng.NextBool(0.5) ? 1e-8 : 0.5;
+
+    std::vector<Val> want_x = x;
+    ASSERT_TRUE(host::SolveSerial(lower, b, want_x, begin, end).ok());
+    const Verification want =
+        VerifyRange(lower, b, want_x, begin, end, options);
+    std::vector<Val> got_x = x;
+    const auto got = SolveSerialVerified(lower, b, got_x, begin, end, options);
+    ASSERT_TRUE(got.ok()) << "trial " << trial;
+    EXPECT_EQ(Bits(got_x), Bits(want_x)) << "trial " << trial;
+    EXPECT_EQ(got->finite, want.finite) << "trial " << trial;
+    EXPECT_EQ(got->passed, want.passed) << "trial " << trial;
+    EXPECT_EQ(Bits(got->residual), Bits(want.residual))
+        << "trial " << trial << ": " << got->residual << " vs "
+        << want.residual;
+    ++(want.passed ? passed : failed);
+    nonfinite += !want.finite;
+  }
+  EXPECT_GT(passed, 150) << passed;
+  EXPECT_GT(failed, 150) << failed;
+  EXPECT_GT(nonfinite, 50) << nonfinite;
 }
 
 TEST(ReliableSolveTest, CleanSolveIsOneVerifiedAttempt) {
@@ -532,6 +731,35 @@ TEST(ReliableSolveTest, CleanSolveIsOneVerifiedAttempt) {
   EXPECT_EQ(result->attempts[0].status, StatusCode::kOk);
   EXPECT_EQ(result->final_algorithm, Algorithm::kCapellini);
   EXPECT_GT(result->verify_ms, 0.0);
+}
+
+// The host serial rung verifies inside its own substitution pass: one
+// verified attempt with the two-pass path's x and residual bits, its host
+// time in solve_ms and nothing in verify_ms.
+TEST(ReliableSolveTest, HostRungVerifiesInItsOwnPass) {
+  const Csr matrix = MakeRandomLower({.rows = 4096,
+                                      .avg_strict_nnz_per_row = 3.0,
+                                      .window = 0,
+                                      .empty_row_fraction = 0.2,
+                                      .seed = 11});
+  const ReferenceProblem problem = MakeReferenceProblem(matrix, 5);
+  const Solver solver{Csr(matrix)};
+  auto result = solver.SolveReliable(Algorithm::kSerialCpu, problem.b);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->verified);
+  ASSERT_EQ(result->attempts.size(), 1u);
+  EXPECT_EQ(result->attempts[0].algorithm, Algorithm::kSerialCpu);
+  EXPECT_EQ(result->attempts[0].status, StatusCode::kOk);
+  EXPECT_TRUE(result->attempts[0].verified);
+  EXPECT_EQ(result->final_algorithm, Algorithm::kSerialCpu);
+  EXPECT_GT(result->solve.solve_ms, 0.0);
+  EXPECT_EQ(result->verify_ms, 0.0);
+
+  std::vector<Val> x(problem.b.size());
+  ASSERT_TRUE(host::SolveSerial(matrix, problem.b, x).ok());
+  EXPECT_EQ(Bits(result->solve.x), Bits(x));
+  EXPECT_EQ(Bits(result->attempts[0].residual),
+            Bits(VerifySolution(matrix, problem.b, x).residual));
 }
 
 TEST(ReliableSolveTest, RecoversFromInjectedDeadlock) {
