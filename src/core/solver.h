@@ -24,9 +24,8 @@
 
 namespace capellini {
 
-struct Analysis;         // core/analysis.h
-struct ReliableOptions;  // core/verify.h
-struct ReliableResult;   // core/verify.h
+struct Analysis;        // core/analysis.h
+struct ReliableResult;  // core/verify.h
 
 /// All solve strategies exposed by the library.
 enum class Algorithm {
@@ -133,9 +132,6 @@ class Solver {
   /// kDataLoss.
   Expected<ReliableResult> SolveReliable(Algorithm algorithm,
                                          std::span<const Val> b) const;
-  Expected<ReliableResult> SolveReliable(Algorithm algorithm,
-                                         std::span<const Val> b,
-                                         const ReliableOptions& options) const;
 
   /// Figure-6 style recommendation: Capellini for high parallel granularity,
   /// SyncFree otherwise (see core/select.h for the rule).

@@ -128,13 +128,11 @@ Verification FinishVerification(const host::RowResidualFold& rows,
 /// row. Its solve_ms is the host ms of that whole pass, verification
 /// included, because serve's cost model reads it.
 Expected<SolveResult> SolveSerialRung(const Csr& lower, std::span<const Val> b,
-                                      const VerifyOptions& options,
                                       Verification& verification) {
   SolveResult result;
   result.x.assign(static_cast<std::size_t>(lower.rows()), 0.0);
   Timer timer;
-  auto verified =
-      SolveSerialVerified(lower, b, result.x, 0, lower.rows(), options);
+  auto verified = SolveSerialVerified(lower, b, result.x, 0, lower.rows());
   if (!verified.ok()) return verified.status();
   result.solve_ms = timer.ElapsedMs();
   const double seconds = result.solve_ms / 1e3;
@@ -185,17 +183,9 @@ std::vector<Algorithm> DefaultRetryLadder() {
 
 Expected<ReliableResult> Solver::SolveReliable(Algorithm algorithm,
                                                std::span<const Val> b) const {
-  return SolveReliable(algorithm, b, ReliableOptions{});
-}
-
-Expected<ReliableResult> Solver::SolveReliable(
-    Algorithm algorithm, std::span<const Val> b,
-    const ReliableOptions& options) const {
   std::vector<Algorithm> ladder;
   ladder.push_back(algorithm);
-  const std::vector<Algorithm> escalation =
-      options.ladder.empty() ? DefaultRetryLadder() : options.ladder;
-  for (const Algorithm rung : escalation) {
+  for (const Algorithm rung : DefaultRetryLadder()) {
     if (std::find(ladder.begin(), ladder.end(), rung) == ladder.end()) {
       ladder.push_back(rung);
     }
@@ -209,7 +199,7 @@ Expected<ReliableResult> Solver::SolveReliable(
     attempt.algorithm = rung;
     Verification verification;
     auto solved = rung == Algorithm::kSerialCpu
-                      ? SolveSerialRung(lower_, b, options.verify, verification)
+                      ? SolveSerialRung(lower_, b, verification)
                       : Solve(rung, b);
     if (!solved.ok()) {
       attempt.status = solved.status().code();
@@ -220,7 +210,7 @@ Expected<ReliableResult> Solver::SolveReliable(
     }
     if (rung != Algorithm::kSerialCpu) {
       Timer verify_timer;
-      verification = VerifySolution(lower_, b, solved->x, options.verify);
+      verification = VerifySolution(lower_, b, solved->x);
       result.verify_ms += verify_timer.ElapsedMs();
     }
     attempt.residual = verification.residual;

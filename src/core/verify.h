@@ -18,9 +18,9 @@
 // Solver::SolveReliable builds the recovery policy on top: verify after
 // every solve, and on failure (bad residual, non-finite values, or a
 // solve-time error such as kDeadlock) escalate through a bounded retry
-// ladder — by default  first algorithm -> kCapelliniTwoPhase -> kLevelSet ->
-// kSerialCpu. The host serial rung is immune to device faults, so the
-// ladder structurally guarantees a solution; every attempt is recorded so
+// ladder: first algorithm -> kCapelliniTwoPhase -> kLevelSet -> kSerialCpu.
+// The host serial rung is immune to device faults, so the ladder
+// structurally guarantees a solution; every attempt is recorded so
 // callers (the serve layer, bench_faults) can see the recovery path.
 // Determinism: with a seeded FaultInjector, same seed => same faults =>
 // same attempt sequence.
@@ -93,15 +93,6 @@ Expected<Verification> SolveSerialVerified(const Csr& lower,
                                            Idx row_end,
                                            const VerifyOptions& options = {});
 
-struct ReliableOptions {
-  VerifyOptions verify;
-  /// Retry rungs tried after the requested algorithm fails verification.
-  /// Empty = the default escalation {kCapelliniTwoPhase, kLevelSet,
-  /// kSerialCpu}. The requested algorithm is always rung 0 and duplicates
-  /// are skipped.
-  std::vector<Algorithm> ladder;
-};
-
 /// One rung of the ladder, as it played out.
 struct AttemptRecord {
   Algorithm algorithm = Algorithm::kCapellini;
@@ -129,8 +120,9 @@ struct ReliableResult {
   std::vector<AttemptRecord> attempts;
 };
 
-/// The default escalation appended after `first`: kCapelliniTwoPhase,
-/// kLevelSet, kSerialCpu (exposed for tests and docs).
+/// The escalation SolveReliable appends after the requested algorithm
+/// (rung 0), skipping duplicates: kCapelliniTwoPhase, kLevelSet, kSerialCpu
+/// (exposed for tests and docs).
 std::vector<Algorithm> DefaultRetryLadder();
 
 }  // namespace capellini

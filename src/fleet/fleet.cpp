@@ -11,6 +11,7 @@
 #include <span>
 #include <utility>
 
+#include "fleet/comm.h"
 #include "sim/fault.h"
 #include "support/thread_pool.h"
 
@@ -68,10 +69,9 @@ struct Outcome {
 /// cancelled.
 class Exchange {
  public:
-  Exchange(const Partition& part, const std::vector<std::vector<Need>>& needs,
-           const CommConfig& comm)
+  Exchange(const Partition& part, const std::vector<std::vector<Need>>& needs)
       : part_(part),
-        comm_(comm, part.num_devices()),
+        comm_(CommConfig{}, part.num_devices()),
         producers_(static_cast<std::size_t>(part.num_devices())),
         report_every_(std::max<std::uint64_t>(1, comm_.MinDelay() / 2)) {
     for (int d = 0; d < part.num_devices(); ++d) {
@@ -303,7 +303,7 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
       fault_marks(static_cast<std::size_t>(k));
 
   {
-    Exchange exchange(part, needs, config.comm);
+    Exchange exchange(part, needs);
     // Device d waits only on producers d' < d, and the pool starts tasks in
     // FIFO order, so the lowest unfinished device never waits: progress
     // holds for any pool size, and one thread runs the devices in order.
@@ -333,7 +333,6 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
         }
 
         kernels::SolveOptions options;
-        options.threads_per_block = config.threads_per_block;
         options.trace_sink = fleet_->trace_sink(d);
         options.fault_injector = fleet_->fault_injector(d);
         auto& [before, after] = fault_marks[static_cast<std::size_t>(d)];
@@ -373,7 +372,7 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
   // launch, whatever its cancelled or finished launch did, and its injector
   // returns to where it stood before that launch. The deliveries up to the
   // first unpublished row are priced and counted.
-  CommModel comm(config.comm, k);
+  CommModel comm(CommConfig{}, k);
   for (int d = 0; d < k; ++d) {
     Outcome& out = outcomes[static_cast<std::size_t>(d)];
     DeviceStats& ds = dstats[static_cast<std::size_t>(d)];
@@ -406,7 +405,7 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
       }
       const std::uint64_t arrival = comm.Deliver(need.src, d, published);
       ++ds.in_messages;
-      ds.comm_bytes_in += config.comm.bytes_per_message;
+      ds.comm_bytes_in += comm.config().bytes_per_message;
       ds.comm_delay_cycles += arrival - published;
       ds.last_arrival_cycle = std::max(ds.last_arrival_cycle, arrival);
     }
@@ -459,7 +458,7 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
     std::vector<Val> current(static_cast<std::size_t>(m), 0.0);
     // Separate comm instance: recovery deliveries must not perturb the
     // first-pass per-link serialization state or the fleet traffic totals.
-    CommModel recovery_comm(config.comm, k);
+    CommModel recovery_comm(CommConfig{}, k);
 
     // Survivor eligibility: a completed launch whose OWN range fails
     // verification is demonstrably corrupting hardware — designating it to
@@ -488,8 +487,8 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
       const Idx begin = part.RowBegin(d);
       const Idx end = part.RowEnd(d);
       if (begin == end) continue;
-      const Verification check = VerifyRange(lower, b, first_pass, begin, end,
-                                             config.recovery.verify);
+      const Verification check =
+          VerifyRange(lower, b, first_pass, begin, end);
       if (!check.passed) survivor_ok[static_cast<std::size_t>(d)] = false;
     }
 
@@ -539,8 +538,7 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
       if (out.status.ok()) {
         std::copy(out.x.begin() + begin, out.x.begin() + end,
                   current.begin() + begin);
-        if (VerifyRange(lower, b, current, begin, end, config.recovery.verify)
-                .passed) {
+        if (VerifyRange(lower, b, current, begin, end).passed) {
           continue;
         }
         // Completed launch, corrupted values (e.g. a bit-flipped store): the
@@ -593,8 +591,7 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
           // after the copy below.
           out.x = current;
           out.publish_cycles.assign(static_cast<std::size_t>(end - begin), 0);
-          auto verified = SolveSerialVerified(lower, b, out.x, begin, end,
-                                              config.recovery.verify);
+          auto verified = SolveSerialVerified(lower, b, out.x, begin, end);
           if (!verified.ok()) continue;
           check = *verified;
         } else {
@@ -604,7 +601,6 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
           build_arrivals(d, executor, arrivals);
           kernels::KnownArrivals peers(arrivals);
           kernels::SolveOptions options;
-          options.threads_per_block = config.threads_per_block;
           options.trace_sink = fleet_->trace_sink(executor);
           options.fault_injector = fleet_->fault_injector(executor);
           sim::ScopedTidOffset tid_guard(options.fault_injector, begin);
@@ -623,8 +619,7 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
         std::copy(out.x.begin() + begin, out.x.begin() + end,
                   current.begin() + begin);
         if (executor != kHostExecutor) {
-          check = VerifyRange(lower, b, current, begin, end,
-                              config.recovery.verify);
+          check = VerifyRange(lower, b, current, begin, end);
         }
         if (check.passed) {
           accepted = true;
@@ -680,8 +675,7 @@ Expected<FleetResult> FleetSolver::Solve(const Solver& solver,
   if (recovery_ran) {
     // Final gate on the stitched solution: recovery only reports OK when the
     // whole system verifies, not just each range in isolation.
-    result.verification =
-        VerifySolution(lower, b, result.x, config.recovery.verify);
+    result.verification = VerifySolution(lower, b, result.x);
     if (!result.verification.passed && result.status.ok()) {
       result.status =
           DataLoss("fleet recovery: stitched solution failed verification");

@@ -40,7 +40,6 @@
 
 #include "core/solver.h"
 #include "core/verify.h"
-#include "fleet/comm.h"
 #include "fleet/partition.h"
 #include "fleet/stats.h"
 #include "kernels/launch.h"
@@ -68,32 +67,28 @@ namespace capellini::fleet {
 /// Partitions recover in device-index order, so a downstream partition that
 /// failed only because its producer died re-executes against the recovered
 /// publishes as if the producer had succeeded — upstream completed work is
-/// never redone. Every accepted range passes VerifyRange and the stitched
-/// solution passes a final VerifySolution. Determinism: the ladder order,
-/// survivor choice and injector event streams are pure functions of the
-/// (seeded) fault stream and the outcome history, so same seed => identical
-/// failover path; zero-fault runs never enter recovery and stay
-/// byte-identical to a recovery-disabled solve.
+/// never redone. Every partition's range is checked with VerifyRange (default
+/// VerifyOptions) even if its launch reported OK — a bit-flipped store
+/// completes "successfully" with a corrupted value only the residual catches
+/// — and the stitched solution passes a final VerifySolution. Determinism:
+/// the ladder order, survivor choice and injector event streams are pure
+/// functions of the (seeded) fault stream and the outcome history, so same
+/// seed => identical failover path; zero-fault runs never enter recovery and
+/// stay byte-identical to a recovery-disabled solve.
 struct FleetRecoveryOptions {
   bool enabled = false;
-  /// Residual bound for the per-range and final stitched checks. Every
-  /// partition's range is verified even if its launch reported OK — a
-  /// bit-flipped store completes "successfully" with a corrupted value only
-  /// the residual catches.
-  VerifyOptions verify;
 };
 
 struct FleetConfig {
   int num_devices = 1;
-  /// Per-device simulated GPU (all devices identical).
+  /// Per-device simulated GPU (all devices identical). Devices talk over
+  /// the default CommConfig links.
   sim::DeviceConfig device = sim::PascalGtx1080();
-  CommConfig comm;
   PartitionStrategy strategy = PartitionStrategy::kLevelAware;
   /// kCapelliniWritingFirst or kCapelliniTwoPhase (the thread-per-row
   /// kernels with range variants).
   kernels::DeviceAlgorithm algorithm =
       kernels::DeviceAlgorithm::kCapelliniWritingFirst;
-  int threads_per_block = 256;
   /// Host threads driving the devices; 0 = one per device. Any value gives
   /// byte-identical results (see the determinism contract above); 1 runs
   /// the devices one after another.

@@ -11,8 +11,8 @@
 //
 // Outcomes arrive through serve::ServiceOptions::outcome_listener, so the
 // tracker sees exactly the device-path signals the breaker sees (kDeadlock,
-// kDataLoss = failure; host-fallback serves excluded). All transitions are
-// driven by call counts, never wall clock — replayed traffic takes the
+// kDataLoss = failure; breaker-deflected requests excluded). All transitions
+// are driven by call counts, never wall clock — replayed traffic takes the
 // identical quarantine/probe/reinstate path, which bench_fleet_faults gates.
 #pragma once
 

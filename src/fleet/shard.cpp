@@ -21,7 +21,7 @@ ShardedSolveService::ShardedSolveService(const ShardOptions& options)
     serve::ServiceOptions service_options = options_.service;
     if (options_.health.enabled()) {
       // Feed the device's terminal device-path outcomes to the tracker —
-      // exactly the breaker's signal set (host-fallback serves excluded).
+      // exactly the breaker's signal set (deflected requests excluded).
       service_options.outcome_listener = [this, d](serve::MatrixHandle,
                                                    StatusCode code) {
         health_.Report(d, serve::IsDeviceFailure(code));
@@ -30,72 +30,36 @@ ShardedSolveService::ShardedSolveService(const ShardOptions& options)
     services_.push_back(std::make_unique<serve::SolveService>(
         registries_.back().get(), service_options));
   }
-  placed_.resize(static_cast<std::size_t>(k));
-}
-
-void ShardedSolveService::ReconcileLedgerLocked(int device) {
-  auto& ledger = placed_[static_cast<std::size_t>(device)];
-  auto& registry = *registries_[static_cast<std::size_t>(device)];
-  for (auto it = ledger.begin(); it != ledger.end();) {
-    const serve::MatrixRegistry::EntryRef entry = registry.TryPeek(it->first);
-    if (entry == nullptr) {
-      it = ledger.erase(it);  // LRU-evicted: its cost left the device
-    } else {
-      it->second = entry->cost.EstimateMs();
-      ++it;
-    }
-  }
 }
 
 Expected<ShardedHandle> ShardedSolveService::Register(
     Csr lower, std::string name, SolverOptions solver_options) {
-  // Choose under the ledger lock so concurrent registrations don't all read
-  // the same scores and pile onto one device. Reconciling first means the
-  // score prices each device by what is RESIDENT there NOW (observed EWMA
-  // corrections included), not by the sum of every hint ever placed.
-  // Quarantined devices are skipped — placing fresh matrices on a device
-  // that fails every solve only grows the failover map — unless nothing
-  // healthy remains (then all devices compete and the health tracker's
-  // probes decide recovery).
-  int best = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    bool any_healthy = false;
-    for (int d = 0; d < options_.num_devices; ++d) {
-      if (health_.state(d) == DeviceState::kHealthy) {
-        any_healthy = true;
-        break;
-      }
+  // Score each device by its queued cost plus the cost of everything
+  // resident in its registry NOW (observed EWMA corrections included, evicted
+  // entries gone). Quarantined devices are skipped — placing fresh matrices
+  // on a device that fails every solve only grows the failover map — unless
+  // nothing healthy remains (then all devices compete and the health
+  // tracker's probes decide recovery).
+  bool any_healthy = false;
+  for (int d = 0; d < options_.num_devices; ++d) {
+    if (health_.state(d) == DeviceState::kHealthy) {
+      any_healthy = true;
+      break;
     }
-    double best_score = std::numeric_limits<double>::infinity();
-    for (int d = 0; d < options_.num_devices; ++d) {
-      if (any_healthy && health_.state(d) != DeviceState::kHealthy) continue;
-      ReconcileLedgerLocked(d);
-      double placed = 0.0;
-      for (const auto& [handle, cost] : placed_[static_cast<std::size_t>(d)]) {
-        placed += cost;
-      }
-      const double score =
-          services_[static_cast<std::size_t>(d)]->QueuedCostMs() + placed;
-      if (score < best_score) {  // strict '<': ties go to the lowest index
-        best_score = score;
-        best = d;
-      }
+  }
+  int best = 0;
+  double best_score = std::numeric_limits<double>::infinity();
+  for (int d = 0; d < options_.num_devices; ++d) {
+    if (any_healthy && health_.state(d) != DeviceState::kHealthy) continue;
+    const double score = QueuedCostMs(d) + PlacedCostMs(d);
+    if (score < best_score) {  // strict '<': ties go to the lowest index
+      best_score = score;
+      best = d;
     }
   }
   auto handle_or = registries_[static_cast<std::size_t>(best)]->Register(
       std::move(lower), std::move(name), std::move(solver_options));
   if (!handle_or.ok()) return handle_or.status();
-  // TryPeek: the ledger read must not promote the entry, count a cache hit,
-  // or (if the entry somehow vanished already) count a miss. The entry is
-  // fresh, so the estimate is the analytic seed.
-  const serve::MatrixRegistry::EntryRef entry =
-      registries_[static_cast<std::size_t>(best)]->TryPeek(*handle_or);
-  if (entry != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    placed_[static_cast<std::size_t>(best)][*handle_or] =
-        entry->cost.EstimateMs();
-  }
   return ShardedHandle{best, *handle_or};
 }
 
@@ -121,8 +85,8 @@ Expected<ShardedHandle> ShardedSolveService::FailoverTarget(
   // mutex_ is held across the whole check-register-insert sequence: two
   // concurrent deflected submits for the same key must not both miss the
   // cache and double-register the matrix on the survivor (duplicate budget
-  // charge, double-counted failover_registrations_). Lock ordering stays
-  // ledger -> registry, the documented direction.
+  // charge, double-counted failover_registrations_). Lock ordering is
+  // always shard -> registry, never the reverse.
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = failover_.find(key);
   if (it != failover_.end()) {
@@ -132,13 +96,11 @@ Expected<ShardedHandle> ShardedSolveService::FailoverTarget(
       return it->second;
     }
     // The cached copy is stale: LRU-evicted, or stranded on a device that is
-    // no longer the survivor. Drop the superseded registration and its
-    // ledger entry so the old device's byte budget and placement score stop
-    // charging for it (in-flight solves pinned their EntryRef; Evict only
-    // drops the registry's reference).
+    // no longer the survivor. Evict the superseded registration so the old
+    // device's byte budget and placement score stop charging for it
+    // (in-flight solves pinned their EntryRef; Evict only drops the
+    // registry's reference).
     registries_[static_cast<std::size_t>(it->second.device)]->Evict(
-        it->second.handle);
-    placed_[static_cast<std::size_t>(it->second.device)].erase(
         it->second.handle);
     failover_.erase(it);
   }
@@ -168,12 +130,6 @@ Expected<ShardedHandle> ShardedSolveService::FailoverTarget(
   const ShardedHandle target{survivor, *registered};
   ++failover_registrations_;
   failover_[key] = target;
-  const serve::MatrixRegistry::EntryRef placed_entry =
-      registries_[static_cast<std::size_t>(survivor)]->TryPeek(*registered);
-  if (placed_entry != nullptr) {
-    placed_[static_cast<std::size_t>(survivor)][*registered] =
-        placed_entry->cost.EstimateMs();
-  }
   return target;
 }
 
@@ -227,29 +183,17 @@ Expected<serve::UpdateReport> ShardedSolveService::ApplyDelta(
                            std::to_string(options_.num_devices) +
                            "-device fleet");
   }
-  auto& registry = *registries_[static_cast<std::size_t>(handle.device)];
-  auto report = registry.ApplyDelta(handle.handle, batch);
+  auto report = registries_[static_cast<std::size_t>(handle.device)]
+                    ->ApplyDelta(handle.handle, batch);
   if (!report.ok()) return report.status();
-  // The new epoch re-seeded its cost model from the patched analysis —
-  // refresh the ledger so the next placement prices this device's new load.
-  const serve::MatrixRegistry::EntryRef entry =
-      registry.TryPeek(handle.handle);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& ledger = placed_[static_cast<std::size_t>(handle.device)];
-  if (entry == nullptr) {
-    ledger.erase(handle.handle);  // evicted while budgeting the new epoch
-  } else {
-    ledger[handle.handle] = entry->cost.EstimateMs();
-  }
-  // A failover copy on a survivor is now one epoch stale — drop it (and its
-  // ledger entry) so the next deflected submit re-registers the updated
-  // factor and the survivor's budget stops charging for the dead epoch.
+  // A failover copy on a survivor is now one epoch stale — evict it so the
+  // next deflected submit re-registers the updated factor and the
+  // survivor's budget and placement score stop charging for the dead epoch.
   // In-flight solves pinned their EntryRef, so eviction cannot hurt them.
+  std::lock_guard<std::mutex> lock(mutex_);
   auto failed_over = failover_.find({handle.device, handle.handle});
   if (failed_over != failover_.end()) {
     registries_[static_cast<std::size_t>(failed_over->second.device)]->Evict(
-        failed_over->second.handle);
-    placed_[static_cast<std::size_t>(failed_over->second.device)].erase(
         failed_over->second.handle);
     failover_.erase(failed_over);
   }
@@ -269,12 +213,7 @@ double ShardedSolveService::QueuedCostMs(int device) const {
 }
 
 double ShardedSolveService::PlacedCostMs(int device) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  double placed = 0.0;
-  for (const auto& [handle, cost] : placed_[static_cast<std::size_t>(device)]) {
-    placed += cost;
-  }
-  return placed;
+  return registries_[static_cast<std::size_t>(device)]->ResidentCostMs();
 }
 
 ShardHealthStats ShardedSolveService::health_stats() const {

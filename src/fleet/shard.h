@@ -3,18 +3,13 @@
 //
 // Placement is cost-aware and sticky: a matrix is registered on the device
 // with the least outstanding work — the live queued-cost ledger
-// (SolveService::QueuedCostMs) plus the cost of everything already placed
-// there — and every solve on its handle routes to that device (matrix data
-// lives in one device's registry budget; moving it would re-pay analysis).
-// Each device keeps its own byte budget, LRU, EDF queue, breaker map and
-// stats, so one noisy tenant saturates one shard, not the fleet.
-//
-// The placed-cost ledger is RECONCILED against each registry on every
-// placement decision: per-handle entries are re-read from the live
-// CostModel::EstimateMs() (so observed-EWMA corrections and post-update
-// re-seeds replace the stale analytic hints) and entries whose handle was
-// LRU-evicted are dropped. Without this the ledger only ever grows and
-// long-lived fleets drift to stale placement.
+// (SolveService::QueuedCostMs) plus the cost of everything resident there
+// (MatrixRegistry::ResidentCostMs: each entry's live CostModel estimate, so
+// observed-EWMA corrections count and evicted entries do not) — and every
+// solve on its handle routes to that device (matrix data lives in one
+// device's registry budget; moving it would re-pay analysis). Each device
+// keeps its own byte budget, LRU, EDF queue, breaker map and stats, so one
+// noisy tenant saturates one shard, not the fleet.
 //
 // Degraded-mode serving (DESIGN.md §4j): with ShardOptions::health enabled,
 // a DeviceHealthTracker runs serve's breaker state machine per device over
@@ -23,11 +18,12 @@
 // and its existing handles FAIL OVER: deflected submits lazily re-register
 // the matrix on the designated survivor (lowest-indexed healthy device) and
 // serve there, with the survivor registration cached per (device, handle)
-// and the cost ledger charged on the survivor. Half-open probes periodically
-// let one submit through to the quarantined device; a success reinstates it
-// and traffic routes home again. All transitions are request-count driven,
-// so a replayed trace takes the identical degraded path (bench_fleet_faults
-// gates K-1 serving determinism and the PR-4 exactly-once accounting).
+// and its cost charged to the survivor's registry. Half-open probes
+// periodically let one submit through to the quarantined device; a success
+// reinstates it and traffic routes home again. All transitions are
+// request-count driven, so a replayed trace takes the identical degraded path
+// (bench_fleet_faults gates K-1 serving determinism and the PR-4 exactly-once
+// accounting).
 #pragma once
 
 #include <memory>
@@ -83,7 +79,7 @@ class ShardedSolveService {
   int num_devices() const { return options_.num_devices; }
   const ShardOptions& options() const { return options_; }
 
-  /// Registers on the least-loaded device (queued cost + placed cost hints;
+  /// Registers on the least-loaded device (QueuedCostMs + PlacedCostMs;
   /// ties go to the lowest device index — deterministic for replays).
   /// Quarantined/probing devices are skipped unless no healthy device
   /// remains (then placement falls back to all devices).
@@ -100,9 +96,7 @@ class ShardedSolveService {
 
   /// Streams a factor update (src/update) to the owning device's registry —
   /// MatrixRegistry::ApplyDelta semantics (epoch swap, snapshot isolation
-  /// for in-flight solves) — and refreshes that device's placement-ledger
-  /// entry from the post-update cost model, so a structurally heavier or
-  /// lighter epoch immediately re-prices the device for future placements.
+  /// for in-flight solves, learned cost carried to the new epoch).
   /// Registry updates are host-side, so a quarantined owner still applies
   /// them (its failover copy, if any, is dropped: the survivor would serve a
   /// stale epoch).
@@ -114,8 +108,8 @@ class ShardedSolveService {
   void Shutdown();
 
   double QueuedCostMs(int device) const;
-  /// Sum of the per-handle placed costs on the device — the static half of
-  /// the placement score, reconciled on every placement decision.
+  /// The device registry's ResidentCostMs(): the static half of the
+  /// placement score.
   double PlacedCostMs(int device) const;
 
   /// Point-in-time degraded-mode view (health states + failover counters).
@@ -133,19 +127,13 @@ class ShardedSolveService {
   }
 
  private:
-  /// Re-reads device `d`'s ledger from the live registry: evicted handles
-  /// are dropped, surviving ones re-priced from CostModel::EstimateMs().
-  /// Caller holds mutex_ (TryPeek takes the registry's own mutex; ordering
-  /// is always ledger -> registry, never the reverse).
-  void ReconcileLedgerLocked(int device);
   /// The failover target for a deflected submit: a resident survivor copy of
   /// (owner, handle), re-registering it if missing, LRU-evicted, or stranded
   /// on a device that is no longer the survivor (the superseded copy is
-  /// evicted and its ledger entry dropped). Survivor = lowest-indexed
-  /// healthy device (deterministic for replays). Takes mutex_ itself and
-  /// holds it across the check-register-insert sequence, so two concurrent
-  /// deflected submits for one key cannot both miss the cache and
-  /// double-register on the survivor.
+  /// evicted). Survivor = lowest-indexed healthy device (deterministic for
+  /// replays). Takes mutex_ itself and holds it across the
+  /// check-register-insert sequence, so two concurrent deflected submits for
+  /// one key cannot both miss the cache and double-register on the survivor.
   Expected<ShardedHandle> FailoverTarget(const ShardedHandle& handle);
 
   ShardOptions options_;
@@ -153,11 +141,9 @@ class ShardedSolveService {
   // destructor joins workers that may still fire outcome_listener, which
   // reports into health_. health_ and mutex_ must outlive those threads.
   DeviceHealthTracker health_;
-  mutable std::mutex mutex_;  // placement ledger + failover map
+  mutable std::mutex mutex_;  // failover map + counters
   std::vector<std::unique_ptr<serve::MatrixRegistry>> registries_;
   std::vector<std::unique_ptr<serve::SolveService>> services_;
-  /// Per device: handle -> last reconciled per-solve cost estimate (ms).
-  std::vector<std::unordered_map<serve::MatrixHandle, double>> placed_;
   /// (owner device, owner handle) -> cached survivor registration.
   struct FailoverKeyHash {
     std::size_t operator()(const std::pair<int, serve::MatrixHandle>& k) const {

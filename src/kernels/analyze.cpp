@@ -1,6 +1,5 @@
 #include "kernels/analyze.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "kernels/common.h"
@@ -151,8 +150,7 @@ sim::Kernel BuildLevelPropagateKernel() {
 }
 
 Expected<DeviceAnalysisResult> AnalyzeOnDevice(
-    const Csr& lower, const sim::DeviceConfig& config,
-    const DeviceAnalysisOptions& options) {
+    const Csr& lower, const sim::DeviceConfig& config) {
   if (!lower.IsLowerTriangularWithDiagonal()) {
     return InvalidArgument(
         "on-device analysis needs a lower-triangular matrix with a full "
@@ -173,10 +171,7 @@ Expected<DeviceAnalysisResult> AnalyzeOnDevice(
 
   sim::DeviceMemory memory;
   sim::Machine machine(config, &memory);
-  machine.set_trace_sink(options.trace_sink);
-  machine.set_fault_injector(options.fault_injector);
-  const int threads_per_block =
-      std::min(options.threads_per_block, config.max_warps_per_sm * 32);
+  const int threads_per_block = ThreadsPerBlock(config);
 
   const auto rows_u = static_cast<std::uint64_t>(m);
   const auto nnz_u = static_cast<std::uint64_t>(nnz);

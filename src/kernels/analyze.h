@@ -1,9 +1,8 @@
 // On-device level-set analysis — preprocessing as a measurable kernel.
 //
-// The host `ComputeLevelSets` runs under the registry lock and is paid in
-// full on every cold registration; this port makes the cost visible in
-// simulated cycles and lets the analysis be traced and fault-injected like
-// any solve. Two kernels, after Liu et al.'s Benchmark_SpTRSM analyser:
+// The host `ComputeLevelSets` is paid in full on every cold registration;
+// this port makes the same analysis's cost visible in simulated cycles.
+// Two kernels, after Liu et al.'s Benchmark_SpTRSM analyser:
 //
 //   1. in-degree build: one thread per nonzero atomicAdds into its row's
 //      counter through the CSC row_idx array (counts[i] ends up as row i's
@@ -27,22 +26,7 @@
 #include "sim/kernel.h"
 #include "support/status.h"
 
-namespace capellini::trace {
-class TraceSink;
-}
-
-namespace capellini::sim {
-class FaultInjector;
-}
-
 namespace capellini::kernels {
-
-struct DeviceAnalysisOptions {
-  int threads_per_block = 256;
-  /// Trace/fault seams, exactly as SolveOptions. Not owned.
-  trace::TraceSink* trace_sink = nullptr;
-  sim::FaultInjector* fault_injector = nullptr;
-};
 
 struct DeviceAnalysisResult {
   /// Bit-identical to ComputeLevelSets(lower).
@@ -57,12 +41,9 @@ struct DeviceAnalysisResult {
   double host_ms = 0.0;
 };
 
-/// Runs the two-kernel analyser on a simulated `config` device. Fails with
-/// kDeadlock if fault injection (dropped level publishes) starves the
-/// propagation kernel — the same failure mode as a faulted solve.
-Expected<DeviceAnalysisResult> AnalyzeOnDevice(
-    const Csr& lower, const sim::DeviceConfig& config,
-    const DeviceAnalysisOptions& options = {});
+/// Runs the two-kernel analyser on a simulated `config` device.
+Expected<DeviceAnalysisResult> AnalyzeOnDevice(const Csr& lower,
+                                               const sim::DeviceConfig& config);
 
 // Kernel factories (cached by AnalyzeOnDevice; exposed for kernel tests).
 // In-degree: kParamM = nnz, kParamColIdx = CSC row_idx,

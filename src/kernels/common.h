@@ -6,9 +6,19 @@
 // evaluated in the paper).
 #pragma once
 
+#include <algorithm>
+
+#include "sim/config.h"
 #include "sim/kernel.h"
 
 namespace capellini::kernels {
+
+/// Threads per block of every launch: 256, clamped to what one SM can host
+/// (the tiny test device's SMs hold fewer warps than that).
+inline int ThreadsPerBlock(const sim::DeviceConfig& config) {
+  constexpr int kThreadsPerBlock = 256;
+  return std::min(kThreadsPerBlock, config.max_warps_per_sm * 32);
+}
 
 /// Parameter-slot convention (values are device addresses unless noted).
 enum Param : int {

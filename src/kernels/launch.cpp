@@ -143,7 +143,7 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
                                           const Csr& lower,
                                           std::span<const Val> b,
                                           const sim::DeviceConfig& config,
-                                          const SolveOptions& options_in) {
+                                          const SolveOptions& options) {
   if (!lower.IsLowerTriangularWithDiagonal()) {
     return InvalidArgument(
         "SpTRSV needs a lower-triangular matrix with a full diagonal");
@@ -157,13 +157,9 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
   DeviceSolveResult result;
   sim::DeviceMemory memory;
   sim::Machine machine(config, &memory);
-  machine.set_trace_sink(options_in.trace_sink);
-  machine.set_fault_injector(options_in.fault_injector);
-  // Clamp the block size to what the device can host (matters for the tiny
-  // test device, whose SMs hold fewer warps than a default 256-thread block).
-  SolveOptions options = options_in;
-  options.threads_per_block = std::min(options.threads_per_block,
-                                       config.max_warps_per_sm * 32);
+  machine.set_trace_sink(options.trace_sink);
+  machine.set_fault_injector(options.fault_injector);
+  const int threads_per_block = ThreadsPerBlock(config);
 
   sim::LaunchStats total;
   Timer preprocessing_timer;
@@ -175,7 +171,7 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
       result.preprocessing_ms = 0.0;
       auto stats = machine.Launch(CachedKernel(algorithm),
                                   {.num_threads = 32,
-                                   .threads_per_block = options.threads_per_block},
+                                   .threads_per_block = threads_per_block},
                                   params);
       if (!stats.ok()) return stats.status();
       total = *stats;
@@ -208,7 +204,7 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
         auto stats = machine.Launch(
             CachedKernel(algorithm),
             {.num_threads = levels.LevelSize(level),
-             .threads_per_block = options.threads_per_block},
+             .threads_per_block = threads_per_block},
             params);
         if (!stats.ok()) return stats.status();
         total += *stats;
@@ -253,7 +249,7 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
       params[kParamAux0] = static_cast<std::int64_t>(dev_left_sum);
       auto stats = machine.Launch(CachedKernel(algorithm),
                                   {.num_threads = m * 32,
-                                   .threads_per_block = options.threads_per_block},
+                                   .threads_per_block = threads_per_block},
                                   params);
       if (!stats.ok()) return stats.status();
       total = *stats;
@@ -270,7 +266,7 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
       const auto params = BaseParams(lower, dev);
       auto stats = machine.Launch(CachedKernel(algorithm),
                                   {.num_threads = m * 32,
-                                   .threads_per_block = options.threads_per_block},
+                                   .threads_per_block = threads_per_block},
                                   params);
       if (!stats.ok()) return stats.status();
       total = *stats;
@@ -295,7 +291,7 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
       params[kParamAux0] = static_cast<std::int64_t>(dev_order);
       auto stats = machine.Launch(CachedKernel(algorithm),
                                   {.num_threads = m * 32,
-                                   .threads_per_block = options.threads_per_block},
+                                   .threads_per_block = threads_per_block},
                                   params);
       if (!stats.ok()) return stats.status();
       total = *stats;
@@ -313,7 +309,7 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
       const auto params = BaseParams(lower, dev);
       auto stats = machine.Launch(CachedKernel(algorithm),
                                   {.num_threads = m,
-                                   .threads_per_block = options.threads_per_block},
+                                   .threads_per_block = threads_per_block},
                                   params);
       if (!stats.ok()) return stats.status();
       total = *stats;
@@ -362,7 +358,7 @@ Expected<DeviceSolveResult> SolveOnDevice(DeviceAlgorithm algorithm,
       params[kParamAux1] = static_cast<std::int64_t>(dev_task_info);
       auto stats = machine.Launch(CachedKernel(algorithm),
                                   {.num_threads = num_tasks * 32,
-                                   .threads_per_block = options.threads_per_block},
+                                   .threads_per_block = threads_per_block},
                                   params);
       if (!stats.ok()) return stats.status();
       total = *stats;
@@ -468,7 +464,7 @@ const sim::Kernel& CachedRangeKernel(DeviceAlgorithm algorithm) {
 Expected<RangeSolveResult> SolveRangeOnDevice(
     DeviceAlgorithm algorithm, const Csr& lower, std::span<const Val> b,
     Idx row_begin, Idx row_end, RangePeers& peers, sim::Machine& machine,
-    sim::DeviceMemory& memory, const SolveOptions& options_in) {
+    sim::DeviceMemory& memory, const SolveOptions& options) {
   if (algorithm != DeviceAlgorithm::kCapelliniTwoPhase &&
       algorithm != DeviceAlgorithm::kCapelliniWritingFirst) {
     return InvalidArgument(
@@ -499,16 +495,14 @@ Expected<RangeSolveResult> SolveRangeOnDevice(
   RangeLink link(peers, dev, m, row_begin, row_end, memory,
                  result.publish_cycles);
   machine.set_peer_link(&link);
-  machine.set_trace_sink(options_in.trace_sink);
-  machine.set_fault_injector(options_in.fault_injector);
+  machine.set_trace_sink(options.trace_sink);
+  machine.set_fault_injector(options.fault_injector);
 
-  const int threads_per_block =
-      std::min(options_in.threads_per_block,
-               machine.config().max_warps_per_sm * 32);
-  auto stats = machine.Launch(CachedRangeKernel(algorithm),
-                              {.num_threads = row_end - row_begin,
-                               .threads_per_block = threads_per_block},
-                              params);
+  auto stats = machine.Launch(
+      CachedRangeKernel(algorithm),
+      {.num_threads = row_end - row_begin,
+       .threads_per_block = ThreadsPerBlock(machine.config())},
+      params);
   machine.set_peer_link(nullptr);
   machine.set_trace_sink(nullptr);
   machine.set_fault_injector(nullptr);
@@ -535,7 +529,7 @@ Expected<MrhsSolveResult> SolveMrhsOnDevice(MrhsAlgorithm algorithm,
                                             const Csr& lower,
                                             std::span<const Val> b, int k,
                                             const sim::DeviceConfig& config,
-                                            const SolveOptions& options_in) {
+                                            const SolveOptions& options) {
   if (!lower.IsLowerTriangularWithDiagonal()) {
     return InvalidArgument(
         "SpTRSM needs a lower-triangular matrix with a full diagonal");
@@ -567,14 +561,10 @@ Expected<MrhsSolveResult> SolveMrhsOnDevice(MrhsAlgorithm algorithm,
     return slot;
   }();
 
-  SolveOptions options = options_in;
-  options.threads_per_block =
-      std::min(options.threads_per_block, config.max_warps_per_sm * 32);
-
   sim::DeviceMemory memory;
   sim::Machine machine(config, &memory);
-  machine.set_trace_sink(options_in.trace_sink);
-  machine.set_fault_injector(options_in.fault_injector);
+  machine.set_trace_sink(options.trace_sink);
+  machine.set_fault_injector(options.fault_injector);
   const auto rows = static_cast<std::uint64_t>(m);
   const auto nnz = static_cast<std::uint64_t>(lower.nnz());
   const auto vec = rows * static_cast<std::uint64_t>(k);
@@ -598,7 +588,7 @@ Expected<MrhsSolveResult> SolveMrhsOnDevice(MrhsAlgorithm algorithm,
       algorithm == MrhsAlgorithm::kCapelliniMrhs ? m : m * 32;
   auto stats = machine.Launch(cached,
                               {.num_threads = num_threads,
-                               .threads_per_block = options.threads_per_block},
+                               .threads_per_block = ThreadsPerBlock(config)},
                               params);
   if (!stats.ok()) return stats.status();
 

@@ -43,7 +43,6 @@ enum class DeviceAlgorithm {
 const char* DeviceAlgorithmName(DeviceAlgorithm algorithm);
 
 struct SolveOptions {
-  int threads_per_block = 256;
   /// Hybrid only: rows with at least this many nonzeros go warp-level.
   Idx hybrid_row_length_threshold = 16;
   /// Execution-trace observer attached to the simulated machine for the

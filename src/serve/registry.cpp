@@ -1,7 +1,6 @@
 #include "serve/registry.h"
 
 #include "core/analysis.h"
-#include "kernels/analyze.h"
 #include "support/timer.h"
 
 namespace capellini::serve {
@@ -101,34 +100,16 @@ void MatrixRegistry::AnalyzeEntry(Entry& entry) {
     // overwrites the bad file): run a full analysis.
   }
 
-  bool on_device = false;
-  if (options_.analyze_on_device) {
-    auto device = kernels::AnalyzeOnDevice(entry.solver.matrix(),
-                                           entry.solver.options().device);
-    if (device.ok()) {
-      entry.analysis_ms = device->exec_ms + device->host_ms;
-      entry.solver.SeedAnalysis(std::make_shared<const Analysis>(
-          AssembleAnalysis(entry.solver.matrix(), entry.name,
-                           std::move(device->levels))));
-      on_device = true;
-    }
-    // On failure (a faulted device starving the propagation kernel) fall
-    // back to the host sweep below rather than failing the registration.
-  }
-  if (!on_device) {
-    entry.solver.analysis();  // memoize eagerly; hits from now on
-    entry.analysis_ms = timer.ElapsedMs();
-  }
+  entry.solver.analysis();  // memoize eagerly; hits from now on
+  entry.analysis_ms = timer.ElapsedMs();
   entry.cost.seed_ms_ = entry.solver.CostHintMs();
   if (cache_ != nullptr) {
     // Best-effort: a failed Store only costs the next restart a re-analysis.
     (void)cache_->Store(entry.name, entry.solver.matrix(),
                         entry.solver.Levels(), entry.cost.seed_ms_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.analysis_cache_misses;
   }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (cache_ != nullptr) ++stats_.analysis_cache_misses;
-  if (on_device) ++stats_.device_analyses;
 }
 
 void MatrixRegistry::EvictLruUntilFitsLocked(std::size_t incoming_bytes) {
@@ -176,6 +157,15 @@ MatrixRegistry::EntryRef MatrixRegistry::TryPeek(MatrixHandle handle) const {
   auto it = entries_.find(handle);
   if (it == entries_.end()) return nullptr;
   return EntryRef(it->second.entry);
+}
+
+double MatrixRegistry::ResidentCostMs() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  double total = 0.0;
+  for (const auto& [handle, slot] : entries_) {
+    total += slot.entry->cost.EstimateMs();
+  }
+  return total;
 }
 
 void MatrixRegistry::Promote(MatrixHandle handle) {
@@ -233,10 +223,14 @@ Expected<UpdateReport> MatrixRegistry::ApplyDelta(
   entry->delta_log_bytes = old->delta_log_bytes + batch.ByteSize();
   entry->consumers = std::move(old->consumers);  // graph follows the epoch
   entry->bytes = FootprintBytes(*entry) + entry->delta_log_bytes;
-  // The EWMA measured the previous epoch's solves; re-seed from the patched
-  // analysis so admission control prices the new structure, not stale
-  // observations.
-  entry->cost.seed_ms_ = entry->solver.CostHintMs();
+  // Carry the learned cost state forward: a batch of a few deltas barely
+  // moves a solve's cost, and CostHintMs() prices at interpreter scale, far
+  // above a host solve. Observations still landing on the old epoch are not
+  // carried.
+  entry->cost.seed_ms_ = old->cost.seed_ms_;
+  entry->cost.samples_.store(old->cost.samples(), std::memory_order_relaxed);
+  entry->cost.ewma_ms_.store(old->cost.ewma_ms_.load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
 
   UpdateReport report;
   report.handle = handle;

@@ -56,12 +56,6 @@ struct RegistryOptions {
   /// stale or corrupted files (kDataLoss) fall back to a cold analysis and
   /// are overwritten.
   std::string analysis_cache_dir{};
-  /// Run cold analyses on the simulated device (kernels::AnalyzeOnDevice,
-  /// on the SolverOptions device) instead of the host sweep. Bit-identical
-  /// level sets by construction; analysis_ms then reports simulated device
-  /// time + host assembly. Falls back to the host sweep if the device
-  /// analysis fails (e.g. fault injection starves it).
-  bool analyze_on_device = false;
 };
 
 /// Point-in-time registry counters (see ServiceStats for the service-level
@@ -78,8 +72,6 @@ struct RegistrySnapshot {
   /// Cold registrations with a cache configured: no usable file (missing,
   /// corrupt, or fingerprint-stale) — a full analysis ran and was Stored.
   std::uint64_t analysis_cache_misses = 0;
-  /// Cold analyses that ran as AnalyzeOnDevice kernels.
-  std::uint64_t device_analyses = 0;
   std::size_t resident_entries = 0;
   std::size_t resident_bytes = 0;  // includes per-handle delta-log bytes
 };
@@ -107,9 +99,10 @@ class MatrixRegistry {
  public:
   /// Per-handle solve-cost model for the scheduler's admission control:
   /// seeded at registration from the analysis (Solver::CostHintMs) and
-  /// refined online by an EWMA over observed solve milliseconds. Entries are
-  /// shared as shared_ptr<const Entry> across service workers, so the mutable
-  /// state is lock-free atomics and every method is const.
+  /// refined online by an EWMA over observed solve milliseconds. ApplyDelta
+  /// carries the seed, EWMA and sample count over to the next epoch. Entries
+  /// are shared as shared_ptr<const Entry> across service workers, so the
+  /// mutable state is lock-free atomics and every method is const.
   class CostModel {
    public:
     /// Current per-solve estimate in ms: the analytic seed until the first
@@ -129,7 +122,7 @@ class MatrixRegistry {
    private:
     friend class MatrixRegistry;
     static constexpr double kAlpha = 0.25;
-    double seed_ms_ = 0.0;  // written once at registration
+    double seed_ms_ = 0.0;  // written once, before the entry is shared
     mutable std::atomic<double> ewma_ms_{0.0};
     mutable std::atomic<std::uint64_t> samples_{0};
   };
@@ -142,11 +135,11 @@ class MatrixRegistry {
     Solver solver;
     std::size_t bytes = 0;
     /// Milliseconds spent producing THIS epoch's analysis: the cold
-    /// registration's host Analyze() (or device exec + host assembly when
-    /// analyze_on_device is set, or ~0 on a cache rehydrate), and after an
+    /// registration's host Analyze() (~0 on a cache rehydrate), and after an
     /// ApplyDelta the incremental re-level time of that epoch alone.
     double analysis_ms = 0.0;
-    /// Scheduler cost model (analysis-seeded, EWMA-corrected).
+    /// Scheduler cost model (analysis-seeded, EWMA-corrected, carried
+    /// across epochs).
     CostModel cost;
     /// Version counter: 0 at registration, bumped by every ApplyDelta. An
     /// in-flight solve pinned its EntryRef at admission and finishes on its
@@ -195,10 +188,14 @@ class MatrixRegistry {
   void Promote(MatrixHandle handle);
 
   /// Side-effect-free lookup: no LRU promotion, no hit/miss counting.
-  /// Returns nullptr if the handle is gone. For bookkeeping observers — the
-  /// fleet's placement-ledger reconciliation reads cost models through this
-  /// so accounting passes never pollute the cache statistics.
+  /// Returns nullptr if the handle is gone. For bookkeeping observers, so
+  /// accounting passes never pollute the cache statistics.
   EntryRef TryPeek(MatrixHandle handle) const;
+
+  /// Sum of CostModel::EstimateMs() over the resident entries, taken under
+  /// the registry mutex: the per-solve cost of everything placed here now.
+  /// The fleet's placement reads it; no LRU or hit/miss side effects.
+  double ResidentCostMs() const;
 
   /// Applies a DeltaBatch to a registered factor in place (DESIGN.md §4h):
   /// validates + mutates the matrix, patches the analysis incrementally
@@ -207,8 +204,10 @@ class MatrixRegistry {
   /// replacement Entry into the slot. In-flight solves keep the pre-update
   /// snapshot alive through their EntryRef and are never blocked: the
   /// expensive patch runs under a dedicated update mutex with the registry
-  /// mutex released. The learned EWMA cost state is invalidated (re-seeded
-  /// from the patched analysis) since it measured the previous epoch.
+  /// mutex released. The new epoch inherits the learned cost state (seed,
+  /// EWMA and sample count): a delta batch moves a few entries, and the
+  /// observed solve times price the factor far better than the analytic
+  /// seed does.
   /// Errors: kNotFound (unknown/evicted handle — also when evicted during
   /// the patch), kInvalidArgument (batch fails validation; factor
   /// untouched), kResourceExhausted (updated entry alone exceeds the byte
@@ -228,8 +227,8 @@ class MatrixRegistry {
   /// level-set arrays (the two allocations that dominate).
   static std::size_t FootprintBytes(const Entry& entry);
   void EvictLruUntilFitsLocked(std::size_t incoming_bytes);
-  /// The cold/warm/on-device analysis decision tree of Register; runs
-  /// outside the registry mutex. Fills entry->analysis_ms and the cost seed.
+  /// The warm/cold analysis decision of Register; runs outside the registry
+  /// mutex. Fills entry->analysis_ms and the cost seed.
   void AnalyzeEntry(Entry& entry);
 
   RegistryOptions options_;

@@ -136,9 +136,7 @@ Expected<std::future<ServeResult>> SolveService::Submit(
                           ? *options.algorithm
                           : entry->solver.Recommend();
   request.enqueue_time = Clock::now();
-  const double deadline_ms = options.deadline_ms.has_value()
-                                 ? *options.deadline_ms
-                                 : options_.default_deadline_ms;
+  const double deadline_ms = options.deadline_ms.value_or(0.0);
   request.deadline =
       deadline_ms > 0.0
           ? request.enqueue_time +
@@ -212,24 +210,17 @@ std::vector<SolveService::Request> SolveService::PopGroupLocked() {
   std::vector<Request> group;
   group.push_back(std::move(queue_.front()));
   queue_.pop_front();
-  // Copy the match keys: push_back below may reallocate the vector.
-  const MatrixHandle handle = group.front().handle;
+  // Copy the match keys: push_back below may reallocate the vector. The
+  // key is the pinned entry, not the handle: the group is solved (and, in
+  // reliable mode, verified) on one epoch's matrix, so a request admitted
+  // after an ApplyDelta must not join a leader pinned to the epoch before.
+  const MatrixRegistry::Entry* const entry = group.front().entry.get();
   const Algorithm algorithm = group.front().algorithm;
-  const Clock::time_point leader_deadline = group.front().deadline;
   if (options_.max_batch > 1 && HasMrhsForm(algorithm)) {
     for (auto it = queue_.begin();
          it != queue_.end() &&
          group.size() < static_cast<std::size_t>(options_.max_batch);) {
-      const bool key_match =
-          it->handle == handle && it->algorithm == algorithm;
-      // Deadline compatibility: joining the leader's launch must not pull a
-      // far-future request ahead of tighter work elsewhere in the queue.
-      const bool deadline_compatible =
-          options_.coalesce_window_ms <= 0.0 ||
-          std::chrono::duration<double, std::milli>(it->deadline -
-                                                    leader_deadline)
-                  .count() <= options_.coalesce_window_ms;
-      if (key_match && deadline_compatible) {
+      if (it->entry.get() == entry && it->algorithm == algorithm) {
         group.push_back(std::move(*it));
         it = queue_.erase(it);
       } else {
@@ -303,31 +294,19 @@ void SolveService::ServeGroup(std::vector<Request> group) {
   // Circuit breaker: one decision per dequeued group (it is one handle).
   switch (BreakerAdmit(live.front().handle)) {
     case Breaker::Decision::kDeflect:
-      if (options_.breaker_mode == BreakerMode::kFastFail) {
-        // Open, fast-fail mode: complete without burning a launch.
-        for (Request& request : live) {
-          ServeResult result;
-          result.status = ResourceExhausted("circuit breaker open for '" +
-                                            entry.name + "' — failing fast");
-          result.algorithm = request.algorithm;
-          result.batch_size = 1;
-          result.queue_wait_ms = ElapsedMs(request.enqueue_time, dequeue_time);
-          result.dequeue_seq = request.dequeue_seq;
-          result.est_cost_ms = request.est_cost_ms;
-          stats_.RecordBreakerShortCircuit();
-          FinishRequest(request, entry, std::move(result), 1,
-                        /*report_breaker=*/false);
-        }
-        return;
-      }
-      // Open, host-fallback mode: the serial CPU solver is immune to the
-      // device faults that opened the breaker. Its outcome says nothing
-      // about device health, so it does not feed the breaker.
+      // Open: complete without burning a launch.
       for (Request& request : live) {
+        ServeResult result;
+        result.status = ResourceExhausted("circuit breaker open for '" +
+                                          entry.name + "' — failing fast");
+        result.algorithm = request.algorithm;
+        result.batch_size = 1;
+        result.queue_wait_ms = ElapsedMs(request.enqueue_time, dequeue_time);
+        result.dequeue_seq = request.dequeue_seq;
+        result.est_cost_ms = request.est_cost_ms;
         stats_.RecordBreakerShortCircuit();
-        stats_.RecordBatch(1);
-        request.algorithm = Algorithm::kSerialCpu;
-        ServeSolo(request, entry, dequeue_time, /*report_breaker=*/false);
+        FinishRequest(request, entry, std::move(result), 1,
+                      /*report_breaker=*/false);
       }
       return;
     case Breaker::Decision::kProbe:
@@ -343,13 +322,12 @@ void SolveService::ServeGroup(std::vector<Request> group) {
     return;
   }
   stats_.RecordBatch(1);
-  ServeSolo(live.front(), entry, dequeue_time, /*report_breaker=*/true);
+  ServeSolo(live.front(), entry, dequeue_time);
 }
 
 void SolveService::ServeSolo(Request& request,
                              const MatrixRegistry::Entry& entry,
-                             Clock::time_point dequeue_time,
-                             bool report_breaker) {
+                             Clock::time_point dequeue_time) {
   ServeResult result;
   result.algorithm = request.algorithm;
   result.batch_size = 1;
@@ -370,7 +348,8 @@ void SolveService::ServeSolo(Request& request,
     }
   }
   if (result.status.ok()) entry.cost.Observe(result.solve.solve_ms);
-  FinishRequest(request, entry, std::move(result), 1, report_breaker);
+  FinishRequest(request, entry, std::move(result), 1,
+                /*report_breaker=*/true);
 }
 
 void SolveService::FinishRequest(Request& request,
@@ -391,8 +370,8 @@ void SolveService::FinishRequest(Request& request,
        .est_cost_ms = request.est_cost_ms});
   if (report_breaker) {
     BreakerReport(request.handle, code);
-    // Same gating as the breaker: host-fallback serves say nothing about the
-    // device path, so external health observers never see them either.
+    // Same gating as the breaker: deflected requests never reached the
+    // device, so external health observers never see them either.
     if (options_.outcome_listener) options_.outcome_listener(request.handle, code);
   }
   request.promise.set_value(std::move(result));
@@ -402,11 +381,7 @@ void SolveService::SolveThroughLadder(const Request& request,
                                       const MatrixRegistry::Entry& entry,
                                       int spent_attempts,
                                       ServeResult& result) const {
-  ReliableOptions reliable_options;
-  reliable_options.verify.residual_bound = options_.residual_bound;
-  reliable_options.ladder = RetryLadderFor(entry);
-  auto reliable = entry.solver.SolveReliable(request.algorithm, request.b,
-                                             reliable_options);
+  auto reliable = entry.solver.SolveReliable(request.algorithm, request.b);
   if (!reliable.ok()) {
     result.status = reliable.status();
     return;
@@ -497,10 +472,8 @@ void SolveService::ServeBatched(std::vector<Request>& group,
       if (options_.reliable) {
         // Per-column verification: a fault can corrupt one column of the
         // shared launch while the other k-1 are fine.
-        VerifyOptions verify_options;
-        verify_options.residual_bound = options_.residual_bound;
-        const Verification check = VerifySolution(
-            entry.solver.matrix(), request.b, result.solve.x, verify_options);
+        const Verification check =
+            VerifySolution(entry.solver.matrix(), request.b, result.solve.x);
         result.residual = check.residual;
         result.verified = check.passed;
         needs_rescue = !check.passed;
@@ -517,19 +490,6 @@ void SolveService::ServeBatched(std::vector<Request>& group,
     FinishRequest(request, entry, std::move(result), k,
                   /*report_breaker=*/true);
   }
-}
-
-std::vector<Algorithm> SolveService::RetryLadderFor(
-    const MatrixRegistry::Entry& entry) const {
-  if (options_.ladder_cost_threshold_ms <= 0.0) return {};  // default ladder
-  if (entry.cost.EstimateMs() >= options_.ladder_cost_threshold_ms) {
-    // Expensive handle: re-running it through the fast device rung just to
-    // watch it fail again costs more than going straight to the rungs that
-    // structurally terminate (per-level launches, then the fault-immune
-    // host solver).
-    return {Algorithm::kLevelSet, Algorithm::kSerialCpu};
-  }
-  return DefaultRetryLadder();
 }
 
 }  // namespace capellini::serve

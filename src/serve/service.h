@@ -16,12 +16,11 @@
 //       sweep);
 //     * workers (support/thread_pool) pop the queue; the COALESCING step
 //       scans the queue in scheduling order and groups up to `max_batch`
-//       deadline-compatible requests (same handle + algorithm, deadlines
-//       within `coalesce_window_ms` of the group leader's) into ONE
-//       SolveMrhsOnDevice launch — the structure walk is paid once for
-//       the whole group (Liu et al.'s mrhs result, applied as a scheduler
-//       policy). Algorithms without an mrhs form fall back to per-request
-//       Solver::Solve;
+//       requests pinned to the same epoch of the same handle with the same
+//       algorithm into ONE SolveMrhsOnDevice launch — the structure walk is
+//       paid once for the whole group (Liu et al.'s mrhs result, applied as
+//       a scheduler policy). Algorithms without an mrhs form fall back to
+//       per-request Solver::Solve;
 //     * per-request deadlines are checked at dequeue time — an expired
 //       request completes with kDeadlineExceeded without burning a launch;
 //     * every terminal outcome hits ServiceStats exactly once: ok/failed/
@@ -74,16 +73,6 @@ enum class QueuePolicy {
   kEdf,
 };
 
-/// What an open circuit breaker does with requests for its handle.
-enum class BreakerMode {
-  /// Complete immediately with kResourceExhausted ("circuit breaker open"):
-  /// no launch is burned on a handle that keeps failing.
-  kFastFail,
-  /// Route around the device: serve with the host serial solver, which is
-  /// immune to the device-side faults that opened the breaker.
-  kHostFallback,
-};
-
 struct ServiceOptions {
   /// Worker threads draining the queue.
   int workers = 2;
@@ -99,37 +88,19 @@ struct ServiceOptions {
   /// 0 = disabled. An empty queue always admits one request, so a single
   /// expensive matrix can never be starved out.
   double max_queue_cost_ms = 0.0;
-  /// Default per-request deadline in wall-clock ms from submission
-  /// (0 = none). Requests can override per submission.
-  double default_deadline_ms = 0.0;
   /// Queue ordering policy. kEdf with no deadlines is exactly kFifo.
   QueuePolicy policy = QueuePolicy::kEdf;
-  /// Coalescing deadline-compatibility window: a queued request joins a
-  /// group only if its deadline is within this many ms of the group
-  /// leader's. 0 = unlimited (pure same-key coalescing).
-  double coalesce_window_ms = 0.0;
   /// If true the workers do not start draining until Start() — tests and
   /// benches use this to load the queue first so coalescing is
   /// deterministic and maximal.
   bool start_paused = false;
-  /// Self-healing solves (core/verify.h): verify every solution and escalate
-  /// through the retry ladder (Solver::SolveReliable) on deadlock, NaN/Inf
-  /// or a bad residual. Coalesced launches verify each coalesced solution
-  /// and re-run only the failing requests through the ladder. Off by
-  /// default — DeterministicOptions' byte-identity contract needs the plain
-  /// Solve call.
+  /// Self-healing solves (core/verify.h): verify every solution (default
+  /// VerifyOptions) and escalate through the retry ladder
+  /// (Solver::SolveReliable) on deadlock, NaN/Inf or a bad residual.
+  /// Coalesced launches verify each coalesced solution and re-run only the
+  /// failing requests through the ladder. Off by default —
+  /// DeterministicOptions' byte-identity contract needs the plain Solve call.
   bool reliable = false;
-  /// Residual bound for verification when `reliable` is on.
-  double residual_bound = 1e-8;
-  /// Cost-aware retry ladder (reliable mode only): a handle whose estimated
-  /// solve cost (per-handle cost model: analysis-seeded, EWMA-updated) is AT
-  /// OR ABOVE this many milliseconds skips the fast retry rungs — re-running
-  /// a big matrix through kCapelliniTwoPhase just to watch it fail again is
-  /// the most expensive way to reach the safe rung — and escalates straight
-  /// to {kLevelSet, kSerialCpu}. Cheaper handles keep the full default
-  /// ladder, whose fast rungs usually recover them in one cheap retry.
-  /// 0 = one ladder (DefaultRetryLadder) for every handle.
-  double ladder_cost_threshold_ms = 0.0;
   /// Per-handle circuit breaker over device failures (IsDeviceFailure),
   /// disabled while breaker_threshold and breaker_window are both 0. The
   /// breaker_* fields map once onto a BreakerOptions (support/breaker.h
@@ -137,10 +108,9 @@ struct ServiceOptions {
   /// through FinishRequest, because expired requests are filtered out before
   /// the breaker decides. breaker_threshold: consecutive failures that open.
   int breaker_threshold = 0;
-  /// Dequeued requests deflected (per breaker_mode) while open before one
-  /// half-open probe is let through.
+  /// Dequeued requests fast-failed while open before one half-open probe is
+  /// let through.
   int breaker_cooldown = 4;
-  BreakerMode breaker_mode = BreakerMode::kFastFail;
   /// Open when the last `breaker_window` outcomes are all in and at least
   /// `breaker_rate` of them failed, which catches intermittent faults (e.g.
   /// a 1-in-3 dropped publish) that never produce `breaker_threshold`
@@ -149,8 +119,8 @@ struct ServiceOptions {
   double breaker_rate = 0.5;
   /// Observer for terminal DEVICE-PATH outcomes, called once per served
   /// request with (handle, terminal status code) — exactly the signals the
-  /// breaker sees: breaker-deflected and host-fallback serves are excluded,
-  /// since a host solve says nothing about the device. The fleet's sharded
+  /// breaker sees: breaker-deflected requests are excluded, since they never
+  /// reached the device. The fleet's sharded
   /// facade feeds each device's per-device health tracker through this.
   /// Called from worker threads; must be thread-safe and must not call back
   /// into the service.
@@ -167,8 +137,8 @@ inline bool IsDeviceFailure(StatusCode code) {
 struct RequestOptions {
   /// Algorithm override; nullopt = the handle's memoized recommendation.
   std::optional<Algorithm> algorithm;
-  /// Per-request deadline ms (overrides ServiceOptions::default_deadline_ms;
-  /// < 0 means "no deadline even if the service has a default").
+  /// Per-request deadline in wall-clock ms from submission; nullopt or
+  /// <= 0 = none.
   std::optional<double> deadline_ms;
 };
 
@@ -270,8 +240,8 @@ class SolveService {
   /// tail). Returns true if the request landed ahead of queued work.
   bool EnqueueLocked(Request request);
   /// Pops the next group: the front request plus up to max_batch-1 more
-  /// queued deadline-compatible requests with the same handle + algorithm
-  /// (scanning the whole queue, not just the front — zipf traffic
+  /// queued requests pinned to the same entry (handle + epoch) with the same
+  /// algorithm (scanning the whole queue, not just the front — zipf traffic
   /// interleaves handles). Stamps dequeue_seq and releases the popped
   /// requests' cost from the admission ledger.
   std::vector<Request> PopGroupLocked();
@@ -280,10 +250,8 @@ class SolveService {
                     const MatrixRegistry::Entry& entry,
                     Clock::time_point dequeue_time);
   /// One request through Solve or the retry ladder (per options_.reliable).
-  /// `report_breaker` is false on breaker-fallback serves: a host solve says
-  /// nothing about the device path's health.
   void ServeSolo(Request& request, const MatrixRegistry::Entry& entry,
-                 Clock::time_point dequeue_time, bool report_breaker);
+                 Clock::time_point dequeue_time);
   /// The one Solver::SolveReliable call: runs `request` through the retry
   /// ladder and fills `result` with the verified solve, or kDataLoss when no
   /// rung verified. `spent_attempts` counts attempts already made for the
@@ -301,10 +269,6 @@ class SolveService {
   /// DeterministicOptions.
   Breaker::Decision BreakerAdmit(MatrixHandle handle);
   void BreakerReport(MatrixHandle handle, StatusCode code);
-  /// The retry ladder for this entry under ladder_cost_threshold_ms (empty =
-  /// ReliableOptions' default). serve_test asserts the choice both ways.
-  std::vector<Algorithm> RetryLadderFor(
-      const MatrixRegistry::Entry& entry) const;
 
   MatrixRegistry* registry_;
   ServiceOptions options_;

@@ -249,13 +249,6 @@ std::string ServiceStats::ToTable(const RegistrySnapshot* registry) const {
         static_cast<unsigned long long>(totals_.update_delta_bytes),
         totals_.update_analysis_ms);
     out << line;
-    std::snprintf(
-        line, sizeof line,
-        "invalidation causes: value_only(ewma reseed)=%llu "
-        "structural(ewma reseed + cone relevel)=%llu\n",
-        static_cast<unsigned long long>(totals_.updates_value),
-        static_cast<unsigned long long>(totals_.updates_structural));
-    out << line;
   }
 
   if (cost_error_samples_ > 0) {
@@ -327,7 +320,7 @@ std::string ServiceStats::ToTable(const RegistrySnapshot* registry) const {
 
   if (registry != nullptr) {
     TextTable cache({"Registered", "Resident", "Bytes", "Hits", "Misses",
-                     "Evictions", "Updates", "Anl warm/cold", "Anl device"});
+                     "Evictions", "Updates", "Anl warm/cold"});
     cache.SetTitle("registry cache");
     cache.AddRow({std::to_string(registry->registrations),
                   std::to_string(registry->resident_entries),
@@ -337,8 +330,7 @@ std::string ServiceStats::ToTable(const RegistrySnapshot* registry) const {
                   std::to_string(registry->evictions),
                   std::to_string(registry->updates),
                   std::to_string(registry->analysis_cache_hits) + "/" +
-                      std::to_string(registry->analysis_cache_misses),
-                  std::to_string(registry->device_analyses)});
+                      std::to_string(registry->analysis_cache_misses)});
     out << cache.ToString();
   }
   return out.str();
@@ -367,10 +359,6 @@ std::string ServiceStats::ToJson(const RegistrySnapshot* registry) const {
       .Key("update_rows_releveled").Int(totals_.update_rows_releveled)
       .Key("update_delta_bytes").Int(totals_.update_delta_bytes)
       .Key("update_analysis_ms").Double(totals_.update_analysis_ms)
-      .Key("invalidation_causes").BeginObject()
-      .Key("value_only").Int(totals_.updates_value)
-      .Key("structural").Int(totals_.updates_structural)
-      .EndObject()
       .Key("cost_error_ratio")
       .Double(cost_error_samples_ == 0
                   ? 0.0
@@ -412,7 +400,6 @@ std::string ServiceStats::ToJson(const RegistrySnapshot* registry) const {
         .Key("updates").Int(registry->updates)
         .Key("analysis_cache_hits").Int(registry->analysis_cache_hits)
         .Key("analysis_cache_misses").Int(registry->analysis_cache_misses)
-        .Key("device_analyses").Int(registry->device_analyses)
         .EndObject();
   }
   json.Key("per_handle").BeginArray();

@@ -76,8 +76,7 @@ class ServiceStats {
 
   /// Circuit-breaker lifecycle events (see SolveService): a handle's breaker
   /// opened (or re-opened after a failed probe), a half-open probe ran, a
-  /// request was deflected from the device path while open (fast-failed or
-  /// host-served, per BreakerMode).
+  /// request was fast-failed while open.
   void RecordBreakerOpen();
   void RecordBreakerProbe();
   /// A half-open probe came back with a device failure (the breaker
@@ -90,10 +89,7 @@ class ServiceStats {
   /// as request accounting: every SolveService::ApplyDelta call records
   /// exactly one of RecordUpdate / RecordUpdateRejection, so
   ///   updates_value + updates_structural + update_rejections == calls
-  /// (update_test pins this next to the PR-4 request invariant). A
-  /// successful update invalidates the handle's learned cost state; the
-  /// value/structural split IS the invalidation-cause split (value-only =
-  /// EWMA reseed, structural = EWMA reseed + cone re-level).
+  /// (update_test pins this next to the PR-4 request invariant).
   void RecordUpdate(const UpdateReport& report, const std::string& name);
   void RecordUpdateRejection();
 
@@ -118,9 +114,8 @@ class ServiceStats {
     std::uint64_t breaker_probes = 0;
     std::uint64_t breaker_probe_failures = 0;
     std::uint64_t breaker_short_circuits = 0;
-    // Streaming updates (ApplyDelta), split by invalidation cause:
-    // value-only updates reseed the EWMA cost state, structural updates
-    // additionally re-leveled a cone of rows. One record per call:
+    // Streaming updates (ApplyDelta): value-only updates keep the analysis,
+    // structural updates re-leveled a cone of rows. One record per call:
     // updates_value + updates_structural + update_rejections == calls.
     std::uint64_t updates_value = 0;
     std::uint64_t updates_structural = 0;

@@ -239,19 +239,6 @@ TEST(RegistryPersistTest, StaleCacheFallsBackToColdAnalysis) {
   EXPECT_EQ(again.Snapshot().analysis_cache_hits, 1u);
 }
 
-TEST(RegistryDeviceAnalyzeTest, OnDeviceAnalysisMatchesHostAndIsCounted) {
-  serve::MatrixRegistry registry({.analyze_on_device = true});
-  const Csr matrix = TestMatrix(51);
-  auto handle = registry.Register(matrix, "m51", TinyOptions());
-  ASSERT_TRUE(handle.ok());
-  EXPECT_EQ(registry.Snapshot().device_analyses, 1u);
-  auto entry = registry.Acquire(*handle);
-  ASSERT_TRUE(entry.ok());
-  EXPECT_TRUE((*entry)->solver.analyzed());
-  EXPECT_GT((*entry)->analysis_ms, 0.0);  // simulated exec + host assembly
-  ExpectSameLevels((*entry)->solver.Levels(), ComputeLevelSets(matrix));
-}
-
 // --- End-to-end reorder decision (core/autotune.h) -------------------------
 
 TEST(ReorderTest, ProfileIsEndToEndConsistent) {

@@ -69,7 +69,6 @@ TEST_P(BreakerAgreementTest, ServeAndFleetTakeIdenticalTransitions) {
   options.breaker_window = mode.window;
   options.breaker_rate = kRate;
   options.breaker_cooldown = kCooldown;
-  options.breaker_mode = serve::BreakerMode::kFastFail;
   serve::SolveService service(&registry, options);
 
   const std::vector<Val> b(64, 1.0);

@@ -780,24 +780,6 @@ TEST(ReliableSolveTest, RecoversFromInjectedDeadlock) {
   EXPECT_LE(MaxRelativeError(result->solve.x, problem.x_true), 1e-10);
 }
 
-TEST(ReliableSolveTest, CustomLadderIsHonored) {
-  const Csr matrix = MakeBidiagonal(64);
-  const ReferenceProblem problem = MakeReferenceProblem(matrix, 5);
-  sim::FaultPlan plan;
-  plan.drop_publish_rate = 1.0;
-  plan.max_faults = 1;
-  sim::FaultInjector injector(plan);
-  const Solver solver(Csr(matrix), FaultySolverOptions(&injector));
-  ReliableOptions options;
-  options.ladder = {Algorithm::kSerialCpu};
-  auto result =
-      solver.SolveReliable(Algorithm::kCapellini, problem.b, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->verified);
-  ASSERT_EQ(result->attempts.size(), 2u);
-  EXPECT_EQ(result->final_algorithm, Algorithm::kSerialCpu);
-}
-
 TEST(ReliableSolveTest, DefaultLadderEndsAtTheImmuneHostRung) {
   const std::vector<Algorithm> ladder = DefaultRetryLadder();
   ASSERT_FALSE(ladder.empty());

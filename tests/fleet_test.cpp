@@ -360,7 +360,7 @@ TEST(FleetTest, ScopedFaultPlanKillsOnePartitionOthersFinish) {
   EXPECT_EQ(injectors[3].counts().total(), 0u);
 }
 
-// --- ShardedSolveService placement-ledger reconciliation (PR 9) ------------
+// --- ShardedSolveService placement reads the registries' costs ------------
 
 SolverOptions TinySolverOptions() {
   return SolverOptions{.device = sim::TinyTestDevice()};
@@ -375,10 +375,10 @@ Csr ShardMatrix(Idx components_per_level, std::uint64_t seed) {
 }
 
 TEST(ShardTest, LedgerDropsEvictedEntriesOnReconcile) {
-  // Regression for the grow-only ledger: device 0 holds a BIG matrix,
-  // device 1 a small one. Evicting the big matrix from device 0's registry
-  // must let the next placement land on device 0 — without reconciliation
-  // the stale ledger keeps pricing device 0 as the heavier shard forever.
+  // Regression for a grow-only placement ledger: device 0 holds a BIG
+  // matrix, device 1 a small one. Evicting the big matrix from device 0's
+  // registry must let the next placement land on device 0 — a ledger that
+  // kept its cost would price device 0 as the heavier shard forever.
   ShardedSolveService shard({.num_devices = 2});
   auto big = shard.Register(ShardMatrix(300, 1), "big", TinySolverOptions());
   ASSERT_TRUE(big.ok());
@@ -391,20 +391,21 @@ TEST(ShardTest, LedgerDropsEvictedEntriesOnReconcile) {
   const double placed_before = shard.PlacedCostMs(0);
   EXPECT_GT(placed_before, 0.0);
   ASSERT_TRUE(shard.registry(0).Evict(big->handle));
+  EXPECT_EQ(shard.PlacedCostMs(0), 0.0);  // nothing resident on device 0
 
-  // The next placement reconciles: device 0's ledger empties and wins.
+  // Device 0 is empty now, so it wins the next placement.
   auto next =
       shard.Register(ShardMatrix(20, 3), "next", TinySolverOptions());
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->device, 0);
-  // Only "next" remains on device 0's ledger — the evicted cost is gone.
+  // Only "next" remains on device 0 — the evicted cost is gone.
   EXPECT_LT(shard.PlacedCostMs(0), placed_before);
 }
 
 TEST(ShardTest, LedgerRepricesFromObservedCosts) {
-  // The ledger must track CostModel::EstimateMs(), not the analytic seed it
-  // was placed with: feed the cost model observations and check the next
-  // reconcile reprices the device.
+  // Placement must price a device by CostModel::EstimateMs(), not the
+  // analytic seed a handle was placed with: feed the cost model an
+  // observation and check the device is repriced at once.
   ShardedSolveService shard({.num_devices = 1});
   auto handle = shard.Register(ShardMatrix(50, 4), "m", TinySolverOptions());
   ASSERT_TRUE(handle.ok());
@@ -415,12 +416,15 @@ TEST(ShardTest, LedgerRepricesFromObservedCosts) {
   ASSERT_NE(entry, nullptr);
   const double observed = seeded * 16.0 + 1.0;
   entry->cost.Observe(observed);
-  EXPECT_DOUBLE_EQ(shard.PlacedCostMs(0), seeded);  // not reconciled yet
+  EXPECT_DOUBLE_EQ(shard.PlacedCostMs(0), observed);
 
-  // Any placement decision reconciles every device's ledger.
-  ASSERT_TRUE(
-      shard.Register(ShardMatrix(20, 5), "other", TinySolverOptions()).ok());
-  EXPECT_GT(shard.PlacedCostMs(0), observed * 0.9);
+  auto other = shard.Register(ShardMatrix(20, 5), "other", TinySolverOptions());
+  ASSERT_TRUE(other.ok());
+  const serve::MatrixRegistry::EntryRef other_entry =
+      shard.registry(0).TryPeek(other->handle);
+  ASSERT_NE(other_entry, nullptr);
+  EXPECT_DOUBLE_EQ(shard.PlacedCostMs(0),
+                   observed + other_entry->cost.EstimateMs());
 }
 
 TEST(ShardTest, ApplyDeltaRoutesToOwnerAndRefreshesLedger) {
@@ -432,6 +436,10 @@ TEST(ShardTest, ApplyDeltaRoutesToOwnerAndRefreshesLedger) {
   ASSERT_TRUE(b.ok());
   ASSERT_NE(a->device, b->device);
 
+  // A learned cost, so the carried estimate differs from any seed.
+  const double observed = shard.PlacedCostMs(a->device) * 4.0 + 1.0;
+  shard.registry(a->device).TryPeek(a->handle)->cost.Observe(observed);
+
   const update::DeltaBatch batch =
       update::MakeRandomBatch(matrix, 8, /*structural=*/true, 99);
   auto report = shard.ApplyDelta(*a, batch);
@@ -442,11 +450,13 @@ TEST(ShardTest, ApplyDeltaRoutesToOwnerAndRefreshesLedger) {
   // The update hit the owning device's registry only.
   EXPECT_EQ(shard.registry(a->device).Snapshot().updates, 1u);
   EXPECT_EQ(shard.registry(b->device).Snapshot().updates, 0u);
-  // The ledger entry was refreshed from the post-update cost model.
+  // The device is priced by the new epoch, which carried the learned cost.
   const serve::MatrixRegistry::EntryRef entry =
       shard.registry(a->device).TryPeek(a->handle);
   ASSERT_NE(entry, nullptr);
-  EXPECT_DOUBLE_EQ(shard.PlacedCostMs(a->device), entry->cost.EstimateMs());
+  EXPECT_EQ(entry->epoch, 1u);
+  EXPECT_DOUBLE_EQ(entry->cost.EstimateMs(), observed);
+  EXPECT_DOUBLE_EQ(shard.PlacedCostMs(a->device), observed);
 
   // Out-of-range devices are rejected, matching Submit's contract.
   auto bad = shard.ApplyDelta(ShardedHandle{7, a->handle}, batch);
